@@ -464,7 +464,7 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.core.reporting import format_bytes, format_table
-    from repro.runtime.cache import BLOB_PRODUCERS, cache_info, clear_cache
+    from repro.runtime.cache import cache_info, clear_cache
 
     if args.action == "clear":
         removed = clear_cache()
@@ -493,18 +493,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 title="Cache entries",
             )
         )
-        legacy = sorted(
-            {e.producer for e in info.entries
-             if e.format == "pickle" and e.producer in BLOB_PRODUCERS}
-        )
-        if legacy:
-            print()
-            print(
-                f"note: producer(s) {', '.join(legacy)} have legacy pickle "
-                "entries; they "
-                "still load, but re-running the producer (or `repro cache "
-                "clear`) migrates them to the zero-copy mmap-blob format."
-            )
     return 0
 
 

@@ -109,7 +109,7 @@ SPECS: tuple[ArraySpec, ...] = (
         group="csr_depth",
         structure="DepthEntry",
         array="depth",
-        qualname="repro.overlay.flooding.FloodDepthCache._bfs_with",
+        qualname="repro.overlay.flooding._bfs_levels",
         target="local:depth",
         per_node=1.0,
         seed_itemsize=8,

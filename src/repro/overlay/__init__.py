@@ -37,17 +37,13 @@ from repro.overlay.flooding import (
     FloodResult,
     flood,
     flood_depths,
-    flood_depths_batch,
-    flood_depths_iter,
     reach_fractions,
 )
 from repro.overlay.sharding import (
     ShardSet,
     TopologyShard,
     expand_shard,
-    flood_depths_sharded,
     partition_topology,
-    sharded_bfs_entry,
 )
 from repro.overlay.messages import Guid, QueryHit, QueryMessage, guid_factory
 from repro.overlay.network import SearchOutcome, UnstructuredNetwork
@@ -144,15 +140,11 @@ __all__ = [
     "FloodResult",
     "flood",
     "flood_depths",
-    "flood_depths_batch",
-    "flood_depths_iter",
     "reach_fractions",
     "ShardSet",
     "TopologyShard",
     "expand_shard",
-    "flood_depths_sharded",
     "partition_topology",
-    "sharded_bfs_entry",
     "Guid",
     "QueryHit",
     "QueryMessage",

@@ -207,20 +207,20 @@ def _chunk_task(
 ) -> BatchOutcome:
     """Worker task: evaluate one contiguous slice of the batch.
 
-    Attaches the shared topology and posting arrays (single-segment or
-    term-sharded — the spec says which), pre-intersects the chunk's
+    Attaches the shared topology and posting shards (one shard when the
+    content was never partitioned), pre-intersects the chunk's
     distinct keys in one batch-kernel pass, then runs the same pure
     core as the serial path with a worker-local flood cache.  Flood
     evaluation is deterministic, so the task runs with
     ``needs_rng=False``.
     """
     # Deferred import: repro.runtime sits above the overlay layer.
-    from repro.runtime.shards import attach_postings_any
+    from repro.runtime.shards import attach_sharded_postings
     from repro.runtime.shm import attach_topology
 
     sources, keys = chunk
     topology = attach_topology(topo_spec)  # type: ignore[arg-type]
-    postings = attach_postings_any(post_spec)  # type: ignore[arg-type]
+    postings = attach_sharded_postings(post_spec)  # type: ignore[arg-type]
     cache = _WORKER_CACHES.get(topo_spec)
     if cache is None:
         cache = FloodDepthCache(topology)
@@ -397,7 +397,7 @@ class BatchQueryEngine:
             )
         from repro.runtime.parallel import pmap
         from repro.runtime.shards import ShardedPostings
-        from repro.runtime.shm import SharedPostings, SharedTopology
+        from repro.runtime.shm import SharedTopology
 
         bounds = np.linspace(0, sources.size, workers + 1).astype(np.int64)
         chunks = [
@@ -413,17 +413,14 @@ class BatchQueryEngine:
                 ).spec
             post_spec = getattr(self.postings, "spec", None)
             if post_spec is None:
-                if self.postings is not None:
-                    # Unpublished provider (e.g. a locally-built shard
-                    # set): publish it for the workers, preserving its
-                    # shard layout.
-                    post_spec = stack.enter_context(
-                        ShardedPostings(self.postings)
-                    ).spec
-                else:
-                    post_spec = stack.enter_context(
-                        SharedPostings(self.content)
-                    ).spec
+                # Unpublished postings: publish them for the workers,
+                # keeping a local shard set's layout; unsharded content
+                # travels as one shard.
+                post_spec = stack.enter_context(
+                    ShardedPostings(
+                        self.content if self.postings is None else self.postings
+                    )
+                ).spec
             task = partial(
                 _chunk_task,
                 topo_spec=topo_spec,

@@ -125,9 +125,7 @@ class DensePostings:
     """Single-segment CSR postings: the provider every index carries.
 
     ``posting_instances[posting_offsets[t]:posting_offsets[t+1]]`` are
-    the sorted instance ids whose names contain term ``t``.  Field
-    order matches :class:`~repro.runtime.shm.SharedPostingsSpec` so the
-    shm attach path can construct it positionally.
+    the sorted instance ids whose names contain term ``t``.
     """
 
     posting_offsets: np.ndarray

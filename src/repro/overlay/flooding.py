@@ -11,6 +11,13 @@ level is one CSR gather, and duplicate suppression runs on boolean
 masks (a ``visited`` map plus a reusable per-level scratch mask)
 instead of sorting the frontier with ``np.unique`` — the sort was the
 kernel's hot spot at the 40k-node Fig. 8 scale.
+
+One level loop, :func:`_bfs_levels`, serves every flood in the
+package: :func:`flood_depths`, :class:`FloodDepthCache` and the
+sharded runner (:mod:`repro.runtime.shards`) differ only in the
+``expand`` step that gathers a level's targets and in who owns the
+scratch masks, so their depth maps and message counts agree bitwise
+by construction.
 """
 
 from __future__ import annotations
@@ -19,13 +26,12 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterator, Protocol
+from typing import Callable, Protocol
 
 import numpy as np
 
 from repro.obs import metrics
 from repro.overlay.topology import Topology
-from repro.utils.stats import ragged_arange
 
 __all__ = [
     "DEPTH_DTYPE",
@@ -35,8 +41,6 @@ __all__ = [
     "FloodResult",
     "flood",
     "flood_depths",
-    "flood_depths_batch",
-    "flood_depths_iter",
     "reach_fractions",
 ]
 
@@ -84,6 +88,109 @@ class FloodResult:
         return int(np.count_nonzero(self.depth >= 0))
 
 
+#: A BFS level's expand step: ``expand(senders)`` returns the targets
+#: the level's sender nodes transmit to, in sender order, plus the
+#: number of transmissions (duplicates included).  A sharded exchange
+#: may hand back targets already deduplicated per shard; the core's
+#: mask dedup makes the resulting frontier the same either way.
+Expand = Callable[[np.ndarray], "tuple[np.ndarray, int]"]
+
+
+def _csr_gather(
+    offsets: np.ndarray, neighbors: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """The CSR neighbor lists of ``rows``, concatenated in row order.
+
+    The gather index stays at the offsets' width, which cannot wrap
+    because ``INDEX_DTYPE`` bounds every entry id, and is built in
+    place.  int64 temporaries the size of a level's targets outgrow
+    what the allocator keeps for reuse, and the page faults of fresh
+    pages then cost about a quarter of a 40k-node flood.
+    """
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    ends = np.cumsum(lengths, dtype=offsets.dtype)
+    gather = np.repeat(starts - ends + lengths, lengths)
+    gather += np.arange(gather.size, dtype=offsets.dtype)
+    return neighbors[gather]
+
+
+def _dense_expand(topology: Topology, senders: np.ndarray) -> tuple[np.ndarray, int]:
+    """Expand step over one in-process CSR: the plain gather."""
+    targets = _csr_gather(topology.offsets, topology.neighbors, senders)
+    return targets, targets.size
+
+
+def _bfs_levels(
+    expand: Expand,
+    forwards: np.ndarray,
+    sources: np.ndarray | int,
+    max_depth: int,
+    *,
+    visited: np.ndarray,
+    level_mask: np.ndarray,
+    p_loss: float = 0.0,
+    rng: np.random.Generator | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The level loop every flood runs: TTL-scoped BFS with accounting.
+
+    Returns ``(depth, cum_messages, cum_reached, exhausted)`` — the
+    :class:`DepthEntry` fields.  ``sources`` always emit (a leaf source
+    still sends to its ultrapeers); beyond level 1 only nodes with
+    ``forwards`` relay.  ``expand`` (see :data:`Expand`) is the only
+    part that differs between the dense, cached and sharded floods;
+    loss, duplicate suppression and accounting happen here alone.
+
+    ``visited`` and ``level_mask`` are caller-owned boolean scratch of
+    one entry per node; ``visited`` is reset here and ``level_mask``
+    must be all-False and is left so.  ``p_loss`` drops each gathered
+    transmission independently (drawn from ``rng`` in gather order):
+    lost messages still count as sent, but never deliver.
+    """
+    if max_depth < 0:
+        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
+    _check_depth_horizon(max_depth)
+    if not 0.0 <= p_loss < 1.0:
+        raise ValueError(f"p_loss must be in [0, 1), got {p_loss}")
+    if p_loss > 0.0 and rng is None:
+        raise ValueError("p_loss > 0 requires an rng")
+    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
+    depth = np.full(visited.size, -1, dtype=DEPTH_DTYPE)
+    visited[:] = False
+    visited[sources] = True
+    depth[sources] = 0
+    frontier = np.flatnonzero(visited)  # sorted unique sources
+    cum_messages = np.zeros(max_depth + 1, dtype=np.int64)
+    cum_reached = np.zeros(max_depth + 1, dtype=np.int64)
+    cum_reached[0] = frontier.size
+    messages = 0
+    for level in range(1, max_depth + 1):
+        senders = frontier if level == 1 else frontier[forwards[frontier]]
+        if senders.size == 0:
+            # Exhausted: every deeper TTL floods exactly like this one.
+            cum_messages[level:] = messages
+            cum_reached[level:] = cum_reached[level - 1]
+            return depth, cum_messages, cum_reached, True
+        targets, sent = expand(senders)
+        messages += sent
+        if p_loss > 0.0:
+            assert rng is not None  # validated above
+            targets = targets[rng.random(targets.size) >= p_loss]
+        # Duplicate suppression without sorting: candidates are the
+        # unvisited targets; marking them in the scratch mask
+        # collapses within-level duplicates, and flatnonzero yields
+        # them sorted.
+        candidates = targets[~visited[targets]]
+        level_mask[candidates] = True
+        frontier = np.flatnonzero(level_mask)
+        level_mask[frontier] = False
+        visited[frontier] = True
+        depth[frontier] = level
+        cum_messages[level] = messages
+        cum_reached[level] = cum_reached[level - 1] + frontier.size
+    return depth, cum_messages, cum_reached, frontier.size == 0
+
+
 def flood_depths(
     topology: Topology,
     sources: np.ndarray | int,
@@ -103,65 +210,31 @@ def flood_depths(
     loss, overloaded peers): lost messages still count as sent, but
     never deliver.  Requires ``rng`` when positive.
     """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    _check_depth_horizon(max_depth)
-    if not 0.0 <= p_loss < 1.0:
-        raise ValueError(f"p_loss must be in [0, 1), got {p_loss}")
-    if p_loss > 0.0 and rng is None:
-        raise ValueError("p_loss > 0 requires an rng")
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    n = topology.n_nodes
-    depth = np.full(n, -1, dtype=DEPTH_DTYPE)
-    visited = np.zeros(n, dtype=bool)
-    visited[sources] = True
-    depth[sources] = 0
-    frontier = np.flatnonzero(visited)  # sorted unique sources
     # Reusable per-level scratch, tracked by the sanitizer: under
     # REPRO_SANITIZE=shm it is poisoned on release, so any path that
     # kept a stale reference would fault bitwise instead of silently.
     from repro.runtime.sanitize import scratch_alloc, scratch_release
 
+    n = topology.n_nodes
     level_mask = scratch_alloc(n, bool)
-    messages = 0
-    offsets, neighbors, forwards = (
-        topology.offsets,
-        topology.neighbors,
-        topology.forwards,
-    )
     try:
-        for level in range(1, max_depth + 1):
-            if frontier.size == 0:
-                break
-            # Only forwarding nodes relay, except at level 1 where the
-            # sources themselves emit.
-            senders = frontier if level == 1 else frontier[forwards[frontier]]
-            if senders.size == 0:
-                break
-            lengths = offsets[senders + 1] - offsets[senders]
-            gather = np.repeat(offsets[senders], lengths) + ragged_arange(lengths)
-            targets = neighbors[gather]
-            messages += targets.size
-            if p_loss > 0.0:
-                assert rng is not None  # validated above
-                targets = targets[rng.random(targets.size) >= p_loss]
-            # Duplicate suppression without sorting: candidates are the
-            # unvisited targets; marking them in the scratch mask
-            # collapses within-level duplicates, and flatnonzero yields
-            # them sorted.
-            candidates = targets[~visited[targets]]
-            level_mask[candidates] = True
-            new = np.flatnonzero(level_mask)
-            level_mask[new] = False
-            visited[new] = True
-            depth[new] = level
-            frontier = new
+        depth, cum_messages, _, _ = _bfs_levels(
+            partial(_dense_expand, topology),
+            topology.forwards,
+            sources,
+            max_depth,
+            visited=np.zeros(n, dtype=bool),
+            level_mask=level_mask,
+            p_loss=p_loss,
+            rng=rng,
+        )
     finally:
         scratch_release(level_mask)
+    messages = int(cum_messages[-1])
     registry = metrics()
     registry.inc("flood.calls")
-    registry.inc("flood.messages", int(messages))
-    return depth, int(messages)
+    registry.inc("flood.messages", messages)
+    return depth, messages
 
 
 @dataclass(frozen=True)
@@ -298,9 +371,9 @@ class FloodDepthCache:
     def _bfs(self, source: int, max_depth: int) -> DepthEntry:
         """One full BFS with per-level cumulative accounting.
 
-        Mirrors :func:`flood_depths` level for level, so
-        ``entry.depth_at(t)`` / ``entry.messages(t)`` are bitwise equal
-        to ``flood_depths(topology, source, t)`` for every
+        Runs the same :func:`_bfs_levels` core as :func:`flood_depths`,
+        so ``entry.depth_at(t)`` / ``entry.messages(t)`` are bitwise
+        equal to ``flood_depths(topology, source, t)`` for every
         ``t <= max_depth``.
         """
         if self.provider is not None:
@@ -333,51 +406,14 @@ class FloodDepthCache:
         metrics().inc("flood.cache.bfs")
         topology = self.topology
         assert topology is not None  # provider-less caches always have one
-        n = topology.n_nodes
-        depth = np.full(n, -1, dtype=DEPTH_DTYPE)
-        visited[:] = False
-        visited[source] = True
-        depth[source] = 0
-        frontier = np.asarray([source], dtype=np.int64)
-        cum_messages = np.zeros(max_depth + 1, dtype=np.int64)
-        cum_reached = np.zeros(max_depth + 1, dtype=np.int64)
-        cum_reached[0] = 1
-        messages = 0
-        exhausted = False
-        offsets, neighbors, forwards = (
-            topology.offsets,
-            topology.neighbors,
+        depth, cum_messages, cum_reached, exhausted = _bfs_levels(
+            partial(_dense_expand, topology),
             topology.forwards,
+            source,
+            max_depth,
+            visited=visited,
+            level_mask=level_mask,
         )
-        for level in range(1, max_depth + 1):
-            if frontier.size == 0:
-                exhausted = True
-            else:
-                senders = frontier if level == 1 else frontier[forwards[frontier]]
-                if senders.size == 0:
-                    exhausted = True
-                else:
-                    lengths = offsets[senders + 1] - offsets[senders]
-                    gather = np.repeat(offsets[senders], lengths) + ragged_arange(
-                        lengths
-                    )
-                    targets = neighbors[gather]
-                    messages += targets.size
-                    candidates = targets[~visited[targets]]
-                    level_mask[candidates] = True
-                    new = np.flatnonzero(level_mask)
-                    level_mask[new] = False
-                    visited[new] = True
-                    depth[new] = level
-                    frontier = new
-            if exhausted:
-                cum_messages[level:] = messages
-                cum_reached[level:] = cum_reached[level - 1]
-                break
-            cum_messages[level] = messages
-            cum_reached[level] = cum_reached[level - 1] + frontier.size
-        if not exhausted and frontier.size == 0:
-            exhausted = True
         return DepthEntry(
             source=source,
             depth=depth,
@@ -385,97 +421,6 @@ class FloodDepthCache:
             cum_reached=cum_reached,
             exhausted=exhausted,
         )
-
-
-def flood_depths_batch(
-    topology: Topology,
-    sources: np.ndarray,
-    max_depth: int,
-    *,
-    cache: FloodDepthCache | None = None,
-    provider: DepthProvider | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Depth maps and message counts of many floods in one call.
-
-    Returns ``(depth, messages)`` where ``depth[i]`` is the
-    ``flood_depths(topology, sources[i], max_depth)`` depth map and
-    ``messages[i]`` its message count — bitwise identical to the
-    per-source kernel, but repeated sources BFS once, and all floods
-    share one scratch set.  Pass an existing ``cache`` to also reuse
-    BFS results across calls (e.g. expanding-ring schedules), or a
-    ``provider`` (e.g. a sharded runner) to run the BFS elsewhere.
-
-    The row-per-source depth matrix costs
-    ``n_sources * n_nodes * 2`` bytes; workload-scale consumers must
-    either use :func:`flood_depths_iter` (bounded chunks of rows) or
-    :class:`FloodDepthCache` directly (the batched query engine does)
-    and read per-query quantities off the shared entries.
-    """
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    cache = _batch_cache(topology, sources, cache, provider)
-    depth = np.empty((sources.size, topology.n_nodes), dtype=DEPTH_DTYPE)
-    messages = np.empty(sources.size, dtype=np.int64)
-    for i, s in enumerate(sources):
-        entry = cache.entry(int(s), max_depth)
-        depth[i] = entry.depth_at(max_depth)
-        messages[i] = entry.messages(max_depth)
-    return depth, messages
-
-
-def _batch_cache(
-    topology: Topology | None,
-    sources: np.ndarray,
-    cache: FloodDepthCache | None,
-    provider: DepthProvider | None,
-) -> FloodDepthCache:
-    """The depth cache a batch call evaluates against."""
-    if cache is not None:
-        return cache
-    return FloodDepthCache(
-        topology,
-        max_entries=max(1, np.unique(sources).size),
-        provider=provider,
-    )
-
-
-def flood_depths_iter(
-    sources: np.ndarray,
-    max_depth: int,
-    *,
-    topology: Topology | None = None,
-    cache: FloodDepthCache | None = None,
-    provider: DepthProvider | None = None,
-    chunk_size: int = 64,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Streaming :func:`flood_depths_batch`: bounded resident rows.
-
-    Yields ``(chunk_sources, depth, messages)`` triples where rows of
-    ``depth`` are the depth maps of ``chunk_sources`` (at most
-    ``chunk_size`` of them, in input order) — row-for-row bitwise
-    identical to the matrix :func:`flood_depths_batch` would build,
-    without ever materializing more than ``chunk_size * n_nodes``
-    depth entries.  Workload-scale consumers iterate and reduce;
-    repeated sources still BFS once via the shared ``cache`` (pass
-    one to also reuse results across calls).
-
-    Exactly one of ``topology``/``cache``/``provider`` must anchor the
-    BFS; ``chunk_size`` bounds peak memory, not the schedule — chunks
-    are contiguous slices of ``sources``.
-    """
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be positive, got {chunk_size}")
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    if topology is None and cache is None and provider is None:
-        raise ValueError("need a topology, cache, or depth provider")
-    cache = _batch_cache(topology, sources, cache, provider)
-    for start in range(0, sources.size, chunk_size):
-        chunk = sources[start : start + chunk_size]
-        entries = [cache.entry(int(s), max_depth) for s in chunk]
-        depth = np.stack([e.depth_at(max_depth) for e in entries])
-        messages = np.asarray(
-            [e.messages(max_depth) for e in entries], dtype=np.int64
-        )
-        yield chunk, depth, messages
 
 
 def flood(

@@ -4,30 +4,31 @@ A million-node CSR no longer fits one comfortable shared-memory
 segment, and a single process's BFS gather becomes the wall-clock
 floor.  This module partitions a :class:`~repro.overlay.topology.Topology`
 into contiguous node ranges — each shard owns the CSR rows of its
-range (local offsets, global neighbor ids) — and runs the flood BFS
-*shard-parallel*: every level, each shard expands only the frontier
-nodes it owns and hands back the deduplicated target set, and the
-coordinator merges those exchanges into the global visited/depth maps
-before the next level starts.
+range (local offsets, global neighbor ids) — and expands the flood BFS
+*per shard*: every level, the sorted sender frontier is cut at the
+shard bounds (:func:`split_senders`) and each shard gathers the
+targets of the senders it owns (:func:`expand_shard`).
 
-The decomposition is exact, not approximate.  The single-segment
-kernel (:func:`~repro.overlay.flooding.flood_depths`) computes a
-level's new frontier as "gather all senders' neighbors, drop visited,
-dedup via a scratch mask, flatnonzero" — and flatnonzero yields the
-frontier *sorted*.  Here each shard dedups its own gathered targets
-(:func:`expand_shard` returns them sorted-unique), the coordinator
-unions them through the same scratch mask, and flatnonzero again
-yields the identical sorted frontier.  Message accounting sums each
-shard's gathered-target count, which partitions the single-segment
-count exactly.  Depth maps and message counts are therefore bitwise
-identical at every shard count, including ``n_shards=1``.
+The decomposition is exact, not approximate.  Every flood runs the
+one level loop :func:`~repro.overlay.flooding._bfs_levels`, which
+takes a level's gathered targets, drops visited nodes, dedups them
+through a scratch mask and reads the new frontier off with
+``flatnonzero`` — sorted, whatever order the targets came in.  The
+in-process exchange (:func:`expand_step`) concatenates the shards'
+gathers in shard order, which *is* the single-segment gather because
+shards are contiguous ranges of a sorted frontier; the pool exchange
+hands back per-shard deduplicated targets, which mark the same mask.
+Message accounting sums each shard's gathered-target count, which
+partitions the single-segment count exactly.  Depth maps and message
+counts are therefore bitwise identical at every shard count,
+including ``n_shards=1``.
 
 Only lossless floods run sharded (the deterministic fast path every
 cache and batch consumer uses); ``p_loss`` floods stay on
 :func:`~repro.overlay.flooding.flood_depths`.
 
-The process-parallel driver (a persistent pool expanding shards
-concurrently, shards published to shared memory) lives in
+The flood driver (in-process, or a persistent pool expanding shards
+concurrently with the shards published to shared memory) lives in
 :mod:`repro.runtime.shards`; this module is pure numpy so the overlay
 layer never imports the runtime.
 """
@@ -35,32 +36,21 @@ layer never imports the runtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.obs import metrics
-from repro.overlay.flooding import (
-    DEPTH_DTYPE,
-    DepthEntry,
-    _check_depth_horizon,
-)
+from repro.overlay.flooding import Expand, _csr_gather
 from repro.overlay.topology import INDEX_DTYPE, Topology, shard_bounds
-from repro.utils.stats import ragged_arange
 
 __all__ = [
     "ShardSet",
     "TopologyShard",
     "expand_shard",
-    "flood_depths_sharded",
+    "expand_step",
     "partition_topology",
-    "sharded_bfs_entry",
+    "split_senders",
 ]
-
-#: One shard's level expansion: ``(unique_targets, n_messages, n_remote)``.
-ExpandResult = tuple[np.ndarray, int, int]
-#: Exchange callback: expand every shard's senders for one level.
-ExpandFn = Callable[[Sequence[np.ndarray]], "list[ExpandResult]"]
 
 
 @dataclass(frozen=True)
@@ -174,162 +164,50 @@ def partition_topology(topology: Topology, n_shards: int) -> ShardSet:
     )
 
 
-def expand_shard(shard: TopologyShard, senders: np.ndarray) -> ExpandResult:
-    """One shard's level expansion: gather + local dedup.
+def expand_shard(shard: TopologyShard, senders: np.ndarray) -> np.ndarray:
+    """One shard's level expansion: the CSR gather of its senders.
 
     ``senders`` are global node ids within ``[lo, hi)`` (sorted — they
-    come from a flatnonzero frontier).  Returns the sorted-unique
-    gathered targets (global ids), the gathered-target count (the
-    shard's share of the level's message cost, duplicates included),
-    and how many of the unique targets fall outside the shard's own
-    range (the frontier crossings the exchange actually has to ship).
+    come from a flatnonzero frontier).  Returns the gathered targets
+    (global ids) in sender order, duplicates included: their count is
+    the shard's share of the level's message cost.
     """
-    local = senders - shard.lo
-    lengths = shard.offsets[local + 1] - shard.offsets[local]
-    gather = np.repeat(shard.offsets[local], lengths) + ragged_arange(lengths)
-    targets = shard.neighbors[gather]
-    unique = np.unique(targets)
-    n_local = int(
-        np.searchsorted(unique, shard.hi) - np.searchsorted(unique, shard.lo)
-    )
-    return unique, int(targets.size), int(unique.size - n_local)
+    return _csr_gather(shard.offsets, shard.neighbors, senders - shard.lo)
+
+
+def split_senders(shard_set: ShardSet, senders: np.ndarray) -> list[np.ndarray]:
+    """Cut a sorted sender frontier into per-shard runs, in shard order."""
+    cuts = np.searchsorted(senders, shard_set.bounds)
+    return [senders[cuts[s] : cuts[s + 1]] for s in range(shard_set.n_shards)]
 
 
 def _serial_expand(
     shards: tuple[TopologyShard, ...], parts: Sequence[np.ndarray]
-) -> list[ExpandResult]:
-    """In-process exchange: expand each non-empty shard in order."""
-    empty = np.empty(0, dtype=np.int64)
-    return [
-        expand_shard(shard, senders) if senders.size else (empty, 0, 0)
-        for shard, senders in zip(shards, parts)
-    ]
-
-
-def _sharded_bfs(
-    shard_set: ShardSet,
-    sources: np.ndarray,
-    max_depth: int,
-    expand: ExpandFn | None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Shard-parallel BFS with per-level cumulative accounting.
-
-    Mirrors ``FloodDepthCache._bfs_with`` level for level (and thereby
-    :func:`~repro.overlay.flooding.flood_depths`): the per-level
-    frontier, depth map, message count, and reached count are bitwise
-    identical for every shard count and every ``expand`` callback that
-    faithfully runs :func:`expand_shard` per shard.
-    """
-    registry = metrics()
-    registry.inc("shard.flood.calls")
-    n = shard_set.n_nodes
-    bounds = shard_set.bounds
-    forwards = shard_set.forwards
-    if expand is None:
-        shards = shard_set.shards
-
-        def expand_serial(parts: Sequence[np.ndarray]) -> list[ExpandResult]:
-            return _serial_expand(shards, parts)
-
-        expand = expand_serial
-    depth = np.full(n, -1, dtype=DEPTH_DTYPE)
-    visited = np.zeros(n, dtype=bool)
-    visited[sources] = True
-    depth[sources] = 0
-    frontier = np.flatnonzero(visited)
-    level_mask = np.zeros(n, dtype=bool)
-    cum_messages = np.zeros(max_depth + 1, dtype=np.int64)
-    cum_reached = np.zeros(max_depth + 1, dtype=np.int64)
-    cum_reached[0] = frontier.size
-    messages = 0
-    exhausted = False
-    for level in range(1, max_depth + 1):
-        if frontier.size == 0:
-            exhausted = True
-        else:
-            senders = frontier if level == 1 else frontier[forwards[frontier]]
-            if senders.size == 0:
-                exhausted = True
-            else:
-                # The frontier is sorted, so one searchsorted against the
-                # shard bounds splits the senders into per-shard runs.
-                cuts = np.searchsorted(senders, bounds)
-                parts = [
-                    senders[cuts[s] : cuts[s + 1]]
-                    for s in range(shard_set.n_shards)
-                ]
-                results = expand(parts)
-                level_remote = 0
-                for targets, n_messages, n_remote in results:
-                    messages += n_messages
-                    level_remote += n_remote
-                    candidates = targets[~visited[targets]]
-                    level_mask[candidates] = True
-                registry.inc("shard.exchange.remote_targets", level_remote)
-                new = np.flatnonzero(level_mask)
-                level_mask[new] = False
-                visited[new] = True
-                depth[new] = level
-                frontier = new
-        if exhausted:
-            cum_messages[level:] = messages
-            cum_reached[level:] = cum_reached[level - 1]
-            break
-        cum_messages[level] = messages
-        cum_reached[level] = cum_reached[level - 1] + frontier.size
-    if not exhausted and frontier.size == 0:
-        exhausted = True
-    registry.inc("shard.exchange.messages", messages)
-    return depth, cum_messages, cum_reached, exhausted
-
-
-def flood_depths_sharded(
-    shard_set: ShardSet,
-    sources: np.ndarray | int,
-    max_depth: int,
-    *,
-    expand: ExpandFn | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Shard-parallel ``flood_depths``: ``(depth, messages)``.
+    """In-process exchange: every non-empty shard's gather, in shard order.
 
-    Bitwise identical to
-    ``flood_depths(topology, sources, max_depth)`` on the unsharded
-    topology, for any shard count.  ``expand`` overrides the exchange
-    step (the process-parallel runner does); ``None`` expands every
-    shard in-process.
+    Shards are contiguous node ranges and ``parts`` are sorted runs, so
+    the concatenation is exactly the single-segment gather of the
+    whole frontier — the lossless BFS core sees the same targets.
     """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    _check_depth_horizon(max_depth)
-    sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))
-    depth, cum_messages, _, _ = _sharded_bfs(shard_set, sources, max_depth, expand)
-    return depth, int(cum_messages[-1])
+    targets = np.concatenate(
+        [
+            expand_shard(shard, senders)
+            for shard, senders in zip(shards, parts)
+            if senders.size
+        ]
+    )
+    return targets, targets.size
 
 
-def sharded_bfs_entry(
-    shard_set: ShardSet,
-    source: int,
-    max_depth: int,
-    *,
-    expand: ExpandFn | None = None,
-) -> DepthEntry:
-    """One source's full-horizon sharded BFS as a cacheable entry.
+def expand_step(shard_set: ShardSet) -> Expand:
+    """The in-process expand step of a sharded flood.
 
-    Field-for-field equal to ``FloodDepthCache._bfs`` on the unsharded
-    topology, so a :class:`~repro.overlay.flooding.FloodDepthCache`
-    backed by a sharded provider serves bitwise-identical answers.
+    ``_serial_expand`` is looked up at call time, so a wrapper
+    installed on this module's global sees every level's exchange.
     """
-    if max_depth < 0:
-        raise ValueError(f"max_depth must be non-negative, got {max_depth}")
-    _check_depth_horizon(max_depth)
-    sources = np.asarray([source], dtype=np.int64)
-    depth, cum_messages, cum_reached, exhausted = _sharded_bfs(
-        shard_set, sources, max_depth, expand
-    )
-    return DepthEntry(
-        source=int(source),
-        depth=depth,
-        cum_messages=cum_messages,
-        cum_reached=cum_reached,
-        exhausted=exhausted,
-    )
+
+    def expand(senders: np.ndarray) -> tuple[np.ndarray, int]:
+        return _serial_expand(shard_set.shards, split_senders(shard_set, senders))
+
+    return expand

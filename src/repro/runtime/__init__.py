@@ -42,15 +42,11 @@ from repro.runtime.sanitize import (
 from repro.runtime.shards import (
     ShardedPostings,
     ShardedPostingsSpec,
-    attach_postings_any,
     attach_sharded_postings,
 )
 from repro.runtime.shm import (
-    SharedPostings,
-    SharedPostingsSpec,
     SharedTopology,
     SharedTopologySpec,
-    attach_postings,
     attach_topology,
 )
 
@@ -58,12 +54,8 @@ __all__ = [
     "CacheInfo",
     "ShardedPostings",
     "ShardedPostingsSpec",
-    "SharedPostings",
-    "SharedPostingsSpec",
     "SharedTopology",
     "SharedTopologySpec",
-    "attach_postings",
-    "attach_postings_any",
     "attach_sharded_postings",
     "attach_topology",
     "cache_dir",

@@ -25,10 +25,9 @@ skeleton and attaches each array via ``np.load(..., mmap_mode="r")``
 deserializing gigabytes up front, so a million-node topology hit is
 sub-second and costs no private RSS until touched.  Blob-backed
 arrays are therefore *read-only* views; producers already treat
-cached artifacts as immutable.  Legacy ``.pkl`` entries written
-before a producer joined :data:`BLOB_PRODUCERS` still load (counted
-by the ``artifact_cache.legacy_pickle_hits`` metric) until
-re-written.
+cached artifacts as immutable.  A blob producer never reads a
+``.pkl`` entry: a stale one is a miss, and the recomputed artifact
+replaces it with a blob.
 
 Environment knobs:
 
@@ -307,7 +306,7 @@ def cached_call(
                 # writable; sanitize mode freezes the whole artifact.
                 freeze_artifact(value)
             return value  # type: ignore[no-any-return]
-    elif path.is_file():
+    elif chosen != "mmap-blob" and path.is_file():
         try:
             with path.open("rb") as handle:
                 value = pickle.load(handle)
@@ -320,9 +319,6 @@ def cached_call(
             )
         else:
             registry.inc("artifact_cache.hits")
-            if chosen == "mmap-blob":
-                # Entry predates the producer's blob registration.
-                registry.inc("artifact_cache.legacy_pickle_hits")
             if shm_sanitize_enabled():
                 freeze_artifact(value)
             return value  # type: ignore[no-any-return]
@@ -330,6 +326,7 @@ def cached_call(
     value = compute()
     if chosen == "mmap-blob":
         _write_blob(blob, value)
+        path.unlink(missing_ok=True)  # a stale pickle from before the blob format
         return value
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(path.name + f".tmp-{os.getpid()}")

@@ -9,14 +9,14 @@ keep every mapping under the int32 entry ceiling, let a worker map
 only the shards it expands, and are the unit the boundary-edge index
 (``boundary_counts``) describes.
 
-:class:`ShardedFloodRunner` drives the shard-parallel BFS of
-:mod:`repro.overlay.sharding` over a *persistent* worker pool: every
-BFS level, each shard's frontier slice is submitted as one task
-(local CSR gather + dedup in the worker), and the level barrier —
-the frontier exchange — merges the returned sorted-unique target
-sets on the coordinator.  Results are merged in shard order, so the
-output is bitwise identical to the serial sharded driver, which is
-itself bitwise identical to the single-segment kernel (see
+:class:`ShardedFloodRunner` runs the flood BFS core of
+:mod:`repro.overlay.flooding` with a sharded expand step.  In-process
+it concatenates the shards' gathers (:func:`~repro.overlay.sharding.expand_step`);
+over a *persistent* worker pool, each BFS level submits each shard's
+frontier slice as one task (local CSR gather + dedup in the worker),
+and the level barrier — the frontier exchange — merges the returned
+sorted-unique target sets on the coordinator in shard order.  Either
+way the output is bitwise identical to the single-segment kernel (see
 :mod:`repro.overlay.sharding`).  The pool persists across floods
 because a Fig. 8 run issues hundreds of them — one pool per flood
 would pay process start-up per BFS.
@@ -32,15 +32,14 @@ sharded without knowing about this module.
 posting segments with re-based offsets) one segment per shard array,
 and :func:`attach_sharded_postings` hands workers a view-backed
 provider implementing the overlay's ``PostingsProvider`` protocol.
-:func:`attach_postings_any` dispatches on the spec type, so the batch
-engine's worker task accepts either posting transport.
+It is the only posting transport: unsharded content travels as a
+one-shard set, which is bitwise equal to the dense postings.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -49,31 +48,27 @@ from repro.overlay.content import (
     DensePostings,
     PostingShard,
     PostingShardSet,
-    PostingsProvider,
     SharedContentIndex,
     partition_postings,
 )
-from repro.overlay.flooding import DepthEntry
+from repro.overlay.flooding import DepthEntry, _bfs_levels
 from repro.overlay.sharding import (
-    ExpandResult,
     ShardSet,
     TopologyShard,
     expand_shard,
-    flood_depths_sharded,
+    expand_step,
     partition_topology,
-    sharded_bfs_entry,
+    split_senders,
 )
 from repro.overlay.topology import Topology
 from repro.runtime.parallel import _mp_context, resolve_workers
 from repro.runtime.sanitize import freeze
 from repro.runtime.shm import (
     SharedArraySpec,
-    SharedPostingsSpec,
     _CACHE,
     _SharedArrayOwner,
     _attach_arrays,
     _export,
-    attach_postings,
 )
 
 __all__ = [
@@ -84,7 +79,6 @@ __all__ = [
     "ShardedPostingsSpec",
     "ShardedTopology",
     "ShardedTopologySpec",
-    "attach_postings_any",
     "attach_shard_set",
     "attach_sharded_postings",
 ]
@@ -338,21 +332,21 @@ def attach_sharded_postings(spec: ShardedPostingsSpec) -> PostingShardSet:
     return shard_set
 
 
-def attach_postings_any(
-    spec: SharedPostingsSpec | ShardedPostingsSpec,
-) -> PostingsProvider:
-    """Attach whichever posting transport ``spec`` addresses."""
-    if isinstance(spec, ShardedPostingsSpec):
-        return attach_sharded_postings(spec)
-    return attach_postings(spec)
-
-
 def _expand_task(
     spec: ShardedTopologySpec, shard_index: int, senders: np.ndarray
-) -> ExpandResult:
-    """Worker task: one shard's level expansion against shared memory."""
+) -> tuple[np.ndarray, int]:
+    """Worker task: one shard's level expansion against shared memory.
+
+    Returns the shard's sorted distinct targets and its gathered-target
+    count.  Deduplicating here shrinks what crosses the process
+    boundary; sort plus an adjacent-difference mask is bitwise equal
+    to ``np.unique`` and avoids its slow hash path.
+    """
     shard_set = attach_shard_set(spec)
-    return expand_shard(shard_set.shards[shard_index], senders)
+    targets = np.sort(expand_shard(shard_set.shards[shard_index], senders))
+    first = np.ones(targets.size, dtype=bool)
+    np.not_equal(targets[1:], targets[:-1], out=first[1:])
+    return targets[first], targets.size
 
 
 class ShardedFloodRunner:
@@ -402,44 +396,71 @@ class ShardedFloodRunner:
         """Shard count."""
         return self.shard_set.n_shards
 
-    def _expand(self, parts: Sequence[np.ndarray]) -> list[ExpandResult]:
-        """One level's frontier exchange over the pool."""
+    def _pool_expand(self, senders: np.ndarray) -> tuple[np.ndarray, int]:
+        """One level's frontier exchange over the pool.
+
+        Each non-empty shard's senders go to one task; the returned
+        target sets are merged in shard order, so the arithmetic never
+        depends on which worker finished first.
+        """
         assert self._pool is not None and self._share is not None
-        empty = np.empty(0, dtype=np.int64)
-        results: list[ExpandResult] = [(empty, 0, 0)] * len(parts)
-        futures = {
-            self._pool.submit(_expand_task, self._share.spec, s, senders): s
-            for s, senders in enumerate(parts)
-            if senders.size
-        }
-        for future, s in futures.items():
-            results[s] = future.result()
+        futures = [
+            self._pool.submit(_expand_task, self._share.spec, s, part)
+            for s, part in enumerate(split_senders(self.shard_set, senders))
+            if part.size
+        ]
+        results = [future.result() for future in futures]
         metrics().inc("shard.exchange.rounds")
-        return results
+        targets = np.concatenate([targets for targets, _ in results])
+        return targets, sum(sent for _, sent in results)
+
+    def _bfs(
+        self, sources: np.ndarray | int, max_depth: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+        """The shared BFS core over this runner's shards."""
+        self._check_open()
+        expand = (
+            expand_step(self.shard_set) if self._pool is None else self._pool_expand
+        )
+        n = self.n_nodes
+        result = _bfs_levels(
+            expand,
+            self.shard_set.forwards,
+            sources,
+            max_depth,
+            visited=np.zeros(n, dtype=bool),
+            level_mask=np.zeros(n, dtype=bool),
+        )
+        registry = metrics()
+        registry.inc("shard.flood.calls")
+        registry.inc("shard.exchange.messages", int(result[1][-1]))
+        return result
 
     def flood_depths(
         self, sources: np.ndarray | int, max_depth: int
     ) -> tuple[np.ndarray, int]:
         """Sharded :func:`~repro.overlay.flooding.flood_depths`."""
-        self._check_open()
-        expand = self._expand if self._pool is not None else None
         with span(
             "shard.flood", shards=self.n_shards, workers=self.n_workers
         ):
-            return flood_depths_sharded(
-                self.shard_set, sources, max_depth, expand=expand
-            )
+            depth, cum_messages, _, _ = self._bfs(sources, max_depth)
+        return depth, int(cum_messages[-1])
 
     def bfs_entry(self, source: int, max_depth: int) -> DepthEntry:
         """Provider hook for :class:`~repro.overlay.flooding.FloodDepthCache`."""
-        self._check_open()
-        expand = self._expand if self._pool is not None else None
         with span(
             "shard.bfs_entry", shards=self.n_shards, workers=self.n_workers
         ):
-            return sharded_bfs_entry(
-                self.shard_set, source, max_depth, expand=expand
+            depth, cum_messages, cum_reached, exhausted = self._bfs(
+                source, max_depth
             )
+        return DepthEntry(
+            source=int(source),
+            depth=depth,
+            cum_messages=cum_messages,
+            cum_reached=cum_reached,
+            exhausted=exhausted,
+        )
 
     def _check_open(self) -> None:
         if self._closed:

@@ -42,18 +42,13 @@ from typing import Callable
 import numpy as np
 
 from repro.obs import metrics
-from repro.overlay.content import DensePostings, SharedContentIndex
 from repro.overlay.topology import Topology
 from repro.runtime.sanitize import freeze
 
 __all__ = [
-    "PostingArrays",
     "SharedArraySpec",
-    "SharedPostings",
-    "SharedPostingsSpec",
     "SharedTopology",
     "SharedTopologySpec",
-    "attach_postings",
     "attach_topology",
     "cleanup_on_signal",
     "close_all_owners",
@@ -78,26 +73,6 @@ class SharedTopologySpec:
     offsets: SharedArraySpec
     neighbors: SharedArraySpec
     forwards: SharedArraySpec
-
-
-@dataclass(frozen=True)
-class SharedPostingsSpec:
-    """Addresses of a content index's query-matching arrays."""
-
-    posting_offsets: SharedArraySpec
-    posting_instances: SharedArraySpec
-    instance_peer: SharedArraySpec
-
-
-#: Worker-side view of a content index's posting structure: exactly
-#: the arrays query evaluation needs (the posting CSR plus the
-#: instance-to-peer map).  Term *strings* stay on the coordinator —
-#: batch workers receive canonical term-id keys, so the interner never
-#: crosses the process boundary.  Since the overlay layer grew the
-#: :class:`~repro.overlay.content.PostingsProvider` protocol this is
-#: the same class as its dense provider; the alias keeps the
-#: transport-era name working.
-PostingArrays = DensePostings
 
 
 class _AttachCache:
@@ -433,37 +408,6 @@ class SharedTopology(_SharedArrayOwner):
         return self
 
 
-class SharedPostings(_SharedArrayOwner):
-    """Owner handle for a content index's posting arrays in shared memory.
-
-    Mirrors :class:`SharedTopology` for the batched query engine: the
-    posting CSR plus the instance-to-peer map are published once, and
-    workers chunking over query batches attach zero-copy views through
-    the picklable :class:`SharedPostingsSpec`.
-    """
-
-    spec: SharedPostingsSpec
-
-    def __init__(self, content: SharedContentIndex) -> None:
-        off_spec, off_seg, off_view = _export(
-            np.ascontiguousarray(content._posting_offsets)
-        )
-        ins_spec, ins_seg, ins_view = _export(
-            np.ascontiguousarray(content._posting_instances)
-        )
-        pee_spec, pee_seg, pee_view = _export(
-            np.ascontiguousarray(content.instance_peer)
-        )
-        self._adopt(
-            SharedPostingsSpec(off_spec, ins_spec, pee_spec),
-            [off_seg, ins_seg, pee_seg],
-            DensePostings(off_view, ins_view, pee_view),
-        )
-
-    def __enter__(self) -> "SharedPostings":
-        return self
-
-
 def _attach_arrays(specs: tuple[SharedArraySpec, ...]) -> tuple[list[np.ndarray], list[shared_memory.SharedMemory]]:
     """Map a tuple of array specs read-only into this process."""
     segments: list[shared_memory.SharedMemory] = []
@@ -490,17 +434,3 @@ def attach_topology(spec: SharedTopologySpec) -> Topology:
     topology = Topology(arrays[0], arrays[1], arrays[2])
     _CACHE.put(spec, topology, segments)
     return topology
-
-
-def attach_postings(spec: SharedPostingsSpec) -> DensePostings:
-    """Map published posting arrays into this process (cached, read-only)."""
-    cached = _CACHE.get(spec)
-    if cached is not None:
-        assert isinstance(cached, DensePostings)
-        return cached
-    arrays, segments = _attach_arrays(
-        (spec.posting_offsets, spec.posting_instances, spec.instance_peer)
-    )
-    postings = DensePostings(arrays[0], arrays[1], arrays[2])
-    _CACHE.put(spec, postings, segments)
-    return postings

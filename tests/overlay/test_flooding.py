@@ -10,7 +10,6 @@ from repro.overlay.flooding import (
     FloodDepthCache,
     flood,
     flood_depths,
-    flood_depths_batch,
     reach_fractions,
 )
 from repro.overlay.topology import from_networkx, two_tier_gnutella
@@ -141,24 +140,6 @@ class TestFloodDepthCache:
             FloodDepthCache(small_two_tier).entry(0, -1)
 
 
-class TestFloodDepthsBatch:
-    def test_matches_per_source_kernel(self, small_two_tier):
-        sources = np.array([0, 5, 0, 9, 5])
-        depth, messages = flood_depths_batch(small_two_tier, sources, 3)
-        assert depth.shape == (5, small_two_tier.n_nodes)
-        for i, s in enumerate(sources):
-            d, m = flood_depths(small_two_tier, int(s), 3)
-            np.testing.assert_array_equal(depth[i], d)
-            assert messages[i] == m
-
-    def test_shared_cache_reused_across_calls(self, small_two_tier):
-        cache = FloodDepthCache(small_two_tier)
-        flood_depths_batch(small_two_tier, np.array([0, 1]), 2, cache=cache)
-        n_before = len(cache)
-        flood_depths_batch(small_two_tier, np.array([0, 1]), 2, cache=cache)
-        assert len(cache) == n_before == 2
-
-
 class TestReachFractions:
     def test_shape_and_monotonicity(self, small_two_tier):
         out = reach_fractions(small_two_tier, np.array([0, 1, 2]), [1, 2, 3])
@@ -226,6 +207,45 @@ class TestLossyFlooding:
             flood_depths(small_two_tier, 0, 2, p_loss=0.5)
 
 
+class TestLossyRngConsumption:
+    """A seeded lossy flood is pinned bitwise to recorded digests.
+
+    The digests cover the depth map, the message count and the next
+    draws of the generator, so they also pin *which* transmissions the
+    loss draws covered and in what order.  They were recorded from the
+    per-kernel level loops that predate the shared BFS core.
+    """
+
+    GOLDEN = {
+        (0, 7): (25_432, "fa2821e702abf03d37ec5f999b887e59cc9647b60c4f2223897e5b1f1558f95f"),
+        ((3, 1_234, 4_999), 5): (
+            25_198,
+            "d7ba4e09b269ed86bdb18f885d55f01e1dc97a6a636b63fe2b3bbcc5e4bd54fc",
+        ),
+    }
+
+    @pytest.fixture(scope="class")
+    def topo(self):
+        return two_tier_gnutella(5_000, seed=5)
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN, key=str))
+    def test_matches_golden_digest(self, topo, case):
+        import hashlib
+
+        from repro.utils.rng import make_rng
+
+        sources, ttl = case
+        rng = make_rng(2024)
+        depth, messages = flood_depths(
+            topo, np.asarray(sources), ttl, p_loss=0.2, rng=rng
+        )
+        digest = hashlib.sha256()
+        digest.update(depth.tobytes())
+        digest.update(np.int64(messages).tobytes())
+        digest.update(rng.random(4).tobytes())
+        assert (messages, digest.hexdigest()) == self.GOLDEN[case]
+
+
 class TestLossyFloodApi:
     """``flood()`` forwards ``p_loss``/``rng`` to the kernel."""
 
@@ -283,49 +303,6 @@ class TestDepthDtype:
     def test_horizon_at_ceiling_is_accepted(self, small_flat):
         depth, _ = flood_depths(small_flat, 0, 32_767)
         assert int(depth.max()) < 32_767
-
-
-class TestFloodDepthsIter:
-    """Chunked iteration must reproduce the batch rows exactly."""
-
-    def test_chunks_concatenate_to_the_batch(self):
-        from repro.overlay.flooding import flood_depths_iter
-
-        topo = two_tier_gnutella(500, seed=6)
-        sources = np.array([0, 4, 4, 99, 250, 499, 0])
-        ref_depth, ref_messages = flood_depths_batch(topo, sources, 5)
-        for chunk_size in (1, 2, 3, 7, 64):
-            rows, messages, seen = [], [], []
-            for chunk_sources, depth, msgs in flood_depths_iter(
-                sources, 5, topology=topo, chunk_size=chunk_size
-            ):
-                assert chunk_sources.size == depth.shape[0] == msgs.size
-                assert chunk_sources.size <= chunk_size
-                rows.append(depth)
-                messages.append(msgs)
-                seen.append(chunk_sources)
-            assert np.array_equal(np.concatenate(seen), sources)
-            assert np.array_equal(np.vstack(rows), ref_depth)
-            assert np.array_equal(np.concatenate(messages), ref_messages)
-
-    def test_accepts_a_shared_cache(self):
-        from repro.overlay.flooding import flood_depths_iter
-
-        topo = two_tier_gnutella(300, seed=8)
-        cache = FloodDepthCache(topo)
-        sources = np.array([1, 2, 1])
-        ref = flood_depths_batch(topo, sources, 4)
-        chunks = list(flood_depths_iter(sources, 4, cache=cache, chunk_size=2))
-        assert np.array_equal(np.vstack([c[1] for c in chunks]), ref[0])
-
-    def test_validates_inputs(self):
-        from repro.overlay.flooding import flood_depths_iter
-
-        topo = two_tier_gnutella(100, seed=1)
-        with pytest.raises(ValueError, match="chunk_size"):
-            next(flood_depths_iter(np.array([0]), 3, topology=topo, chunk_size=0))
-        with pytest.raises(ValueError, match="topology"):
-            next(flood_depths_iter(np.array([0]), 3))
 
 
 class TestProviderBackedCache:

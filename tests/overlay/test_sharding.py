@@ -7,13 +7,9 @@ import pytest
 
 from repro.overlay import sharding as sharding_module
 from repro.overlay.flooding import FloodDepthCache, flood_depths
-from repro.overlay.sharding import (
-    expand_shard,
-    flood_depths_sharded,
-    partition_topology,
-    sharded_bfs_entry,
-)
+from repro.overlay.sharding import expand_shard, partition_topology
 from repro.overlay.topology import shard_bounds, two_tier_gnutella
+from repro.runtime.shards import ShardedFloodRunner
 
 SHARD_COUNTS = (1, 2, 3, 7, 16)
 
@@ -86,12 +82,9 @@ class TestExpandShard:
         shard_set = partition_topology(topo, 4)
         shard = shard_set.shards[1]
         senders = np.arange(shard.lo, min(shard.lo + 40, shard.hi), dtype=np.int64)
-        unique, n_messages, n_remote = expand_shard(shard, senders)
+        targets = expand_shard(shard, senders)
         manual = np.concatenate([topo.neighbors_of(int(v)) for v in senders])
-        assert n_messages == manual.size
-        assert np.array_equal(unique, np.unique(manual))
-        outside = (unique < shard.lo) | (unique >= shard.hi)
-        assert n_remote == int(outside.sum())
+        assert np.array_equal(targets, manual)
 
 
 class TestBitwiseIdentity:
@@ -103,7 +96,9 @@ class TestBitwiseIdentity:
         shard_set = partition_topology(topo, n_shards)
         sources = np.array([0, 17, 1_999])
         ref_depth, ref_messages = flood_depths(topo, sources, max_depth)
-        depth, messages = flood_depths_sharded(shard_set, sources, max_depth)
+        depth, messages = ShardedFloodRunner(shard_set).flood_depths(
+            sources, max_depth
+        )
         assert np.array_equal(depth, ref_depth)
         assert messages == ref_messages
 
@@ -111,9 +106,10 @@ class TestBitwiseIdentity:
     def test_bfs_entry_fields(self, topo, n_shards):
         shard_set = partition_topology(topo, n_shards)
         cache = FloodDepthCache(topo)
+        runner = ShardedFloodRunner(shard_set)
         for source in (0, 321, 1_998):
             ref = cache._bfs(source, 12)
-            got = sharded_bfs_entry(shard_set, source, 12)
+            got = runner.bfs_entry(source, 12)
             assert got.source == ref.source
             assert np.array_equal(got.depth, ref.depth)
             assert np.array_equal(got.cum_messages, ref.cum_messages)
@@ -123,15 +119,15 @@ class TestBitwiseIdentity:
     def test_scalar_source(self, topo):
         shard_set = partition_topology(topo, 3)
         ref = flood_depths(topo, 7, 4)
-        got = flood_depths_sharded(shard_set, 7, 4)
+        got = ShardedFloodRunner(shard_set).flood_depths(7, 4)
         assert np.array_equal(got[0], ref[0]) and got[1] == ref[1]
 
     def test_rejects_negative_depth(self, topo):
-        shard_set = partition_topology(topo, 2)
+        runner = ShardedFloodRunner(partition_topology(topo, 2))
         with pytest.raises(ValueError):
-            flood_depths_sharded(shard_set, 0, -1)
+            runner.flood_depths(0, -1)
         with pytest.raises(ValueError):
-            sharded_bfs_entry(shard_set, 0, -1)
+            runner.bfs_entry(0, -1)
 
 
 class TestShardOverflowGuard:
@@ -163,5 +159,5 @@ class TestShardOverflowGuard:
             assert shard.n_entries <= 127
             assert shard.offsets.dtype == np.dtype(np.int8)
         ref_depth, ref_messages = flood_depths(small, 0, 5)
-        depth, messages = flood_depths_sharded(shard_set, 0, 5)
+        depth, messages = ShardedFloodRunner(shard_set).flood_depths(0, 5)
         assert np.array_equal(depth, ref_depth) and messages == ref_messages

@@ -187,18 +187,27 @@ class TestMmapBlobCodec:
         entries = (isolated_cache / "fig8-topology").glob("*.blob")
         assert len(list(entries)) == 1
 
-    def test_legacy_pickle_entry_still_loads(self, isolated_cache):
+    def test_stale_pickle_entry_is_recomputed_as_blob(self, isolated_cache):
         import pickle
 
-        legacy_dir = isolated_cache / "fig8-topology"
-        legacy_dir.mkdir()
-        with (legacy_dir / "v1-feed.pkl").open("wb") as handle:
-            pickle.dump({"legacy": True}, handle)
+        stale_dir = isolated_cache / "fig8-topology"
+        stale_dir.mkdir()
+        with (stale_dir / "v1-feed.pkl").open("wb") as handle:
+            pickle.dump({"stale": True}, handle)
+        calls: list[int] = []
 
-        def fail() -> dict:
-            raise AssertionError("legacy entry must be served, not recomputed")
+        def compute():
+            calls.append(1)
+            return self._payload()
 
-        assert cached_call("fig8-topology", 1, "feed", fail) == {"legacy": True}
+        value = cached_call("fig8-topology", 1, "feed", compute)
+        assert calls == [1]
+        np.testing.assert_array_equal(value["big"], self._payload()["big"])
+        assert (stale_dir / "v1-feed.blob").is_dir()
+        assert not (stale_dir / "v1-feed.pkl").exists()
+        # The rewritten entry is now a blob hit.
+        cached_call("fig8-topology", 1, "feed", compute)
+        assert calls == [1]
 
     def test_corrupt_blob_recomputed_and_healed(self, isolated_cache):
         digest = config_digest(_Cfg())

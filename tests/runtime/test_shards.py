@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.overlay.batch import BatchQueryEngine
-from repro.overlay.flooding import FloodDepthCache, flood_depths, flood_depths_batch
+from repro.overlay.flooding import FloodDepthCache, flood_depths
 from repro.overlay.sharding import partition_topology
 from repro.overlay.topology import two_tier_gnutella
 from repro.runtime.shards import (
@@ -79,12 +79,14 @@ class TestShardedFloodRunner:
 
     def test_provider_through_flood_depth_cache(self, topo):
         sources = np.array([3, 3, 77, 900])
-        ref = flood_depths_batch(topo, sources, 5)
         with ShardedFloodRunner(topo, n_shards=3, n_workers=2) as runner:
             cache = FloodDepthCache(provider=runner)
-            got = flood_depths_batch(topo, sources, 5, cache=cache)
-            assert np.array_equal(got[0], ref[0])
-            assert np.array_equal(got[1], ref[1])
+            for s in sources:
+                ref_depth, ref_messages = flood_depths(topo, int(s), 5)
+                entry = cache.entry(int(s), 5)
+                assert np.array_equal(entry.depth_at(5), ref_depth)
+                assert entry.messages(5) == ref_messages
+            assert len(cache) == 3
 
     def test_provider_through_batch_engine(self, small_content):
         content_topo = two_tier_gnutella(small_content.n_peers, seed=4)
@@ -145,21 +147,18 @@ class TestShardedPostings:
                 assert got.offsets.dtype == want.offsets.dtype
 
     def test_spec_is_picklable_and_dispatchable(self, content):
-        from repro.runtime.shards import ShardedPostings, attach_postings_any
-        from repro.runtime.shm import SharedPostings
+        """Sharded and unsharded content share one spec type and attach."""
+        from repro.overlay.content import PostingShardSet
+        from repro.runtime.shards import ShardedPostings, attach_sharded_postings
 
-        with ShardedPostings(content, n_shards=2) as sharded, SharedPostings(
+        with ShardedPostings(content, n_shards=2) as sharded, ShardedPostings(
             content
         ) as dense:
             for spec in (sharded.spec, dense.spec):
                 clone = pickle.loads(pickle.dumps(spec))
                 assert clone == spec
-            from repro.overlay.content import DensePostings, PostingShardSet
-
-            assert isinstance(
-                attach_postings_any(sharded.spec), PostingShardSet
-            )
-            assert isinstance(attach_postings_any(dense.spec), DensePostings)
+                assert isinstance(attach_sharded_postings(clone), PostingShardSet)
+            assert attach_sharded_postings(dense.spec).n_shards == 1
 
     def test_prepartitioned_source_keeps_layout(self, content):
         from repro.overlay.content import partition_postings
@@ -169,7 +168,7 @@ class TestShardedPostings:
         with ShardedPostings(shard_set) as share:
             assert share.provider.n_shards == 4
         with pytest.raises(ValueError, match="n_shards"):
-            ShardedPostings(shard_set, n_shards=5)
+            ShardedPostings(shard_set, n_shards=5)  # simlint: ignore[SIM012] the constructor raises before publishing a segment
 
     def test_attached_provider_matches_queries(self, content):
         from repro.overlay.content import intersect_postings_batch

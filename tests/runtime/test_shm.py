@@ -7,14 +7,12 @@ import pytest
 
 from repro.overlay.topology import two_tier_gnutella
 from repro.runtime.parallel import pmap
-from repro.runtime.shm import (
-    SharedPostings,
-    SharedPostingsSpec,
-    SharedTopology,
-    SharedTopologySpec,
-    attach_postings,
-    attach_topology,
+from repro.runtime.shards import (
+    ShardedPostings,
+    ShardedPostingsSpec,
+    attach_sharded_postings,
 )
+from repro.runtime.shm import SharedTopology, SharedTopologySpec, attach_topology
 
 
 def _remote_degree_sum(item: int, rng: np.random.Generator, *, spec=None) -> int:
@@ -25,8 +23,8 @@ def _remote_degree_sum(item: int, rng: np.random.Generator, *, spec=None) -> int
 
 def _remote_posting_sum(item: int, rng: np.random.Generator, *, spec=None) -> int:
     """Worker that maps the shared postings and sums the instances."""
-    post = attach_postings(spec)
-    return int(post.posting_instances.sum()) + item
+    post = attach_sharded_postings(spec)
+    return sum(int(shard.instances.sum()) for shard in post.shards) + item
 
 
 class TestRoundtrip:
@@ -91,55 +89,58 @@ class TestCrossProcess:
 
 
 class TestSharedPostings:
+    """Unsharded content travels as a one-shard posting set."""
+
     def test_arrays_survive_publication(self, small_content):
-        with SharedPostings(small_content) as share:
-            post = attach_postings(share.spec)
+        with ShardedPostings(small_content) as share:
+            post = attach_sharded_postings(share.spec)
+            (shard,) = post.shards
             np.testing.assert_array_equal(
-                post.posting_offsets, small_content._posting_offsets
+                shard.offsets, small_content._posting_offsets
             )
             np.testing.assert_array_equal(
-                post.posting_instances, small_content._posting_instances
+                shard.instances, small_content._posting_instances
             )
             np.testing.assert_array_equal(
                 post.instance_peer, small_content.instance_peer
             )
 
     def test_attach_is_cached(self, small_content):
-        with SharedPostings(small_content) as share:
-            assert attach_postings(share.spec) is attach_postings(share.spec)
+        with ShardedPostings(small_content) as share:
+            assert attach_sharded_postings(share.spec) is attach_sharded_postings(
+                share.spec
+            )
 
     def test_spec_is_hashable_and_picklable(self, small_content):
         import pickle
 
-        with SharedPostings(small_content) as share:
+        with ShardedPostings(small_content) as share:
             spec = share.spec
-            assert isinstance(spec, SharedPostingsSpec)
+            assert isinstance(spec, ShardedPostingsSpec)
             assert hash(spec) == hash(pickle.loads(pickle.dumps(spec)))
 
     def test_views_are_read_only(self, small_content):
-        with SharedPostings(small_content) as share:
-            post = attach_postings(share.spec)
+        with ShardedPostings(small_content) as share:
+            post = attach_sharded_postings(share.spec)
             with pytest.raises((ValueError, RuntimeError)):
-                post.posting_instances[0] = -1  # simlint: ignore[SIM019] deliberate write proving attached views reject mutation
+                post.shards[0].instances[0] = -1  # simlint: ignore[SIM019] deliberate write proving attached views reject mutation
 
     def test_close_unlinks_and_evicts_cache(self, small_content):
-        share = SharedPostings(small_content)  # simlint: ignore[SIM012] the test exercises manual close() semantics
+        share = ShardedPostings(small_content)  # simlint: ignore[SIM012] the test exercises manual close() semantics
         spec = share.spec
-        attach_postings(spec)
+        attach_sharded_postings(spec)
         share.close()
         with pytest.raises((FileNotFoundError, OSError)):
-            attach_postings(spec)
+            attach_sharded_postings(spec)
 
     def test_intersections_match_local_index(self, small_content):
         from repro.overlay.content import intersect_postings
 
         key = (0, 1)
-        with SharedPostings(small_content) as share:
-            post = attach_postings(share.spec)
+        with ShardedPostings(small_content) as share:
+            (shard,) = attach_sharded_postings(share.spec).shards
             np.testing.assert_array_equal(
-                intersect_postings(
-                    post.posting_offsets, post.posting_instances, key
-                ),
+                intersect_postings(shard.offsets, shard.instances, key),
                 small_content.match_key(key),
             )
 
@@ -147,7 +148,7 @@ class TestSharedPostings:
         from functools import partial
 
         expected = int(small_content._posting_instances.sum())
-        with SharedPostings(small_content) as share:
+        with ShardedPostings(small_content) as share:
             task = partial(_remote_posting_sum, spec=share.spec)
             results = pmap(task, [0, 1], seed=0, key="shm-post", n_workers=2)
         assert results == [expected, expected + 1]
