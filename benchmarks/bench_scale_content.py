@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import peak_rss_bytes
+from conftest import memmap_backed, peak_rss_bytes
 
 from repro.core.experiment import build_content_index, build_trace_bundle
 from repro.overlay.content import intersect_postings, intersect_postings_batch
@@ -133,7 +133,7 @@ def test_scale_content_mmap_reload(benchmark, scale_bundle, scale_content):
     cached = benchmark.pedantic(reload, rounds=1, iterations=1)
     elapsed = time.perf_counter() - start
     dense = cached.dense_postings()
-    assert isinstance(dense.posting_instances, np.memmap)
+    assert memmap_backed(dense.posting_instances)
     assert cached.n_instances == scale_content.n_instances
     benchmark.extra_info["reload_seconds"] = elapsed
     assert elapsed < 1.0, f"mmap cache reload took {elapsed:.2f}s (budget: 1s)"

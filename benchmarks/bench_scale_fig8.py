@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import peak_rss_bytes
+from conftest import memmap_backed, peak_rss_bytes
 
 from repro.core.experiment import Fig8TopologyConfig, build_fig8_topology
 from repro.core.flood_sim import FloodSimConfig, run_fig8
@@ -100,7 +100,7 @@ def test_scale_mmap_cache_reload(benchmark, scale_topology):
     start = time.perf_counter()
     cached = benchmark.pedantic(reload, rounds=1, iterations=1)
     elapsed = time.perf_counter() - start
-    assert isinstance(cached.neighbors, np.memmap)
+    assert memmap_backed(cached.neighbors)
     assert cached.n_nodes == N_NODES
     benchmark.extra_info["reload_seconds"] = elapsed
     assert elapsed < 1.0, f"mmap cache reload took {elapsed:.2f}s (budget: 1s)"

@@ -19,6 +19,7 @@ import resource
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.experiment import TraceBundle, build_content_index, build_trace_bundle
@@ -38,6 +39,22 @@ def peak_rss_bytes() -> int:
     """
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return int(rss) if sys.platform == "darwin" else int(rss) * 1024
+
+
+def memmap_backed(array: np.ndarray) -> bool:
+    """True for a plain read-only ``ndarray`` view of an ``np.memmap``.
+
+    That is what an mmap-blob cache hit hands out: zero-copy (the
+    ``.base`` chain reaches the memmap) without the memmap subclass.
+    """
+    base = array.base
+    while base is not None and not isinstance(base, np.memmap):
+        base = getattr(base, "base", None)
+    return (
+        type(array) is np.ndarray
+        and not array.flags.writeable
+        and isinstance(base, np.memmap)
+    )
 
 
 def pytest_sessionfinish(session: pytest.Session, exitstatus: int) -> None:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.stats import ragged_arange
+from repro.utils.stats import ragged_arange, sorted_unique
 
 __all__ = ["CooccurrenceStats", "pair_counts", "cooccurrence_stats"]
 
@@ -35,7 +35,7 @@ def pair_counts(
     offsets = np.asarray(offsets, dtype=np.int64)
     counts: dict[tuple[int, int], int] = {}
     for g in range(offsets.size - 1):
-        terms = np.unique(term_ids[offsets[g] : offsets[g + 1]])[:max_group]
+        terms = sorted_unique(term_ids[offsets[g] : offsets[g + 1]])[:max_group]
         for i in range(terms.size):
             for j in range(i + 1, terms.size):
                 key = (int(terms[i]), int(terms[j]))
@@ -88,7 +88,7 @@ def cooccurrence_stats(
     lengths = np.diff(offsets)
     group_of = np.repeat(np.arange(n_groups, dtype=np.int64), lengths)
     n_terms = int(term_ids.max()) + 1 if term_ids.size else 0
-    uniq = np.unique(term_ids.astype(np.int64) * n_groups + group_of)
+    uniq = sorted_unique(term_ids.astype(np.int64) * n_groups + group_of)
     presence = np.bincount((uniq // n_groups).astype(np.int64), minlength=n_terms)
 
     ranked = sorted(pairs.items(), key=lambda kv: (-kv[1], kv[0]))[:top_k]

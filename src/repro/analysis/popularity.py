@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.stats import sorted_unique
+
 __all__ = [
     "clients_per_value",
     "occurrences_per_value",
@@ -39,7 +41,7 @@ def clients_per_value(
     n_holders = int(holders.max()) + 1
     if n_values is None:
         n_values = int(values.max()) + 1
-    pairs = np.unique(values * n_holders + holders)
+    pairs = sorted_unique(values * n_holders + holders)
     return np.bincount((pairs // n_holders).astype(np.int64), minlength=n_values)
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from repro.overlay.content import SharedContentIndex
 from repro.tracegen.query_trace import QueryWorkload
 from repro.utils.rng import derive
+from repro.utils.stats import sorted_unique
 
 __all__ = ["ResolvabilityReport", "measure_resolvability"]
 
@@ -88,7 +89,7 @@ def measure_resolvability(
     )
     distinct_peers = np.fromiter(
         (
-            np.unique(content.instance_peer[matches.distinct_instances(d)]).size
+            sorted_unique(content.instance_peer[matches.distinct_instances(d)]).size
             for d in range(matches.n_distinct)
         ),
         dtype=np.int64,

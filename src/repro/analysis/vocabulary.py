@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.stats import sorted_unique
+
 __all__ = ["HeapsFit", "vocabulary_growth", "fit_heaps", "new_term_rate"]
 
 
@@ -37,7 +39,7 @@ def vocabulary_growth(
     is_new = np.zeros(term_stream.size, dtype=np.int64)
     is_new[first_idx] = 1
     distinct = np.cumsum(is_new)
-    n = np.unique(
+    n = sorted_unique(
         np.logspace(0, np.log10(term_stream.size), n_points).astype(np.int64)
     )
     return n, distinct[n - 1]

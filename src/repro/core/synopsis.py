@@ -41,6 +41,7 @@ from repro.overlay.content import SharedContentIndex
 from repro.overlay.topology import Topology, flat_random
 from repro.utils.bloom import optimal_parameters
 from repro.utils.rng import derive
+from repro.utils.stats import sorted_unique
 
 __all__ = [
     "SynopsisConfig",
@@ -179,7 +180,7 @@ def _peer_term_sets(content: SharedContentIndex) -> list[np.ndarray]:
     """Distinct term ids per peer."""
     terms = content._posting_terms
     peers = content.instance_peer[content._posting_instances]
-    pairs = np.unique(peers.astype(np.int64) * content.term_index.n_terms + terms)
+    pairs = sorted_unique(peers.astype(np.int64) * content.term_index.n_terms + terms)
     peer_of_pair = pairs // content.term_index.n_terms
     term_of_pair = pairs % content.term_index.n_terms
     out: list[np.ndarray] = []

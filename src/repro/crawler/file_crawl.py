@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.tracegen.gnutella_trace import GnutellaShareTrace
 from repro.utils.rng import make_rng
-from repro.utils.stats import encode_pairs
+from repro.utils.stats import encode_pairs, sorted_unique
 
 __all__ = ["FileCrawlResult", "crawl_files"]
 
@@ -43,12 +43,12 @@ class FileCrawlResult:
     @property
     def n_unique_names(self) -> int:
         """Distinct names observed in the crawl."""
-        return int(np.unique(self.name_ids).size)
+        return int(sorted_unique(self.name_ids).size)
 
     def replica_counts(self) -> np.ndarray:
         """Clients-per-name counts over the crawled subset."""
         n_peers = self.source.n_peers
-        pairs = np.unique(
+        pairs = sorted_unique(
             encode_pairs(
                 self.name_ids, self.peer_of_instance, n_peers,
                 what="name/peer pairs",
@@ -70,7 +70,7 @@ def crawl_files(
     if not 0.0 < p_response <= 1.0:
         raise ValueError("p_response must be in (0, 1]")
     rng = seed if isinstance(seed, np.random.Generator) else make_rng(seed)
-    peers = np.unique(np.asarray(peers, dtype=np.int64))
+    peers = sorted_unique(np.asarray(peers, dtype=np.int64))
     answered = peers[rng.random(peers.size) < p_response]
     mask = np.zeros(trace.n_peers, dtype=bool)
     mask[answered] = True

@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.overlay.topology import Topology
 from repro.utils.rng import make_rng
+from repro.utils.stats import sorted_unique
 
 __all__ = ["TopologyCrawlResult", "crawl_topology"]
 
@@ -61,7 +62,7 @@ def crawl_topology(
 
     discovered = np.zeros(topology.n_nodes, dtype=bool)
     contacted = np.zeros(topology.n_nodes, dtype=bool)
-    frontier = np.unique(np.asarray(bootstrap, dtype=np.int64))
+    frontier = sorted_unique(np.asarray(bootstrap, dtype=np.int64))
     discovered[frontier] = True
     n_requests = 0
     while frontier.size:
@@ -73,7 +74,7 @@ def crawl_topology(
         for v in answering:
             new.append(topology.neighbors_of(int(v)))
         if new:
-            candidates = np.unique(np.concatenate(new))
+            candidates = sorted_unique(np.concatenate(new))
             fresh = candidates[~discovered[candidates]]
             discovered[fresh] = True
             frontier = fresh

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.dht.hashing import RING_BITS, RING_SIZE, hash_key
 from repro.utils.rng import make_rng
+from repro.utils.stats import sorted_unique
 
 __all__ = ["PastryLookup", "PastryNetwork", "DIGIT_BITS", "N_DIGITS"]
 
@@ -62,10 +63,10 @@ class PastryNetwork:
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
         rng = make_rng(seed)
-        ids = np.unique(rng.integers(0, RING_SIZE, size=n_nodes, dtype=np.uint64))
+        ids = sorted_unique(rng.integers(0, RING_SIZE, size=n_nodes, dtype=np.uint64))
         while ids.size < n_nodes:  # pragma: no cover - ~2^-45 collisions
             extra = rng.integers(0, RING_SIZE, size=n_nodes - ids.size, dtype=np.uint64)
-            ids = np.unique(np.concatenate([ids, extra]))
+            ids = sorted_unique(np.concatenate([ids, extra]))
         self.node_ids = np.sort(ids)
         self.n_nodes = n_nodes
         # Bucket representatives: for each row r, map (r+1)-digit prefix

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.utils.stats import sorted_unique
+
 __all__ = ["SelectorConfig", "MethodSelector", "SelectionStats"]
 
 
@@ -73,7 +75,7 @@ class MethodSelector:
     def observe(self, term_ids: np.ndarray, flood_succeeded: bool) -> None:
         """Feed back one flood outcome (gossip delivers these too)."""
         lr = self.config.learning_rate
-        ids = np.unique(np.asarray(term_ids, dtype=np.int64))
+        ids = sorted_unique(np.asarray(term_ids, dtype=np.int64))
         target = 1.0 if flood_succeeded else 0.0
         self.estimates[ids] = (1 - lr) * self.estimates[ids] + lr * target
         self.observations[ids] += 1

@@ -971,18 +971,25 @@ class HotWideArrayRule:
 
 # -- SIM016: hidden copies in hot paths --------------------------------
 
+# Sorting dedups SIM016 flags inside hot loops, with their display names.
+_SORTING_DEDUPS = {
+    "numpy.unique": "np.unique",
+    "repro.utils.stats.sorted_unique": "sorted_unique",
+}
+
 
 @register_rule
 class HiddenCopyRule:
     """Constructs that silently copy whole arrays inside hot kernels.
 
-    Four shapes: ``np.unique`` inside a loop (sorts and copies every
-    iteration — use mask-based dedup, see ``flood_depths``); chained
-    fancy indexing ``a[i][j]`` (the inner gather materializes a full
-    temporary — fuse the indices); ``x.astype(d)`` when ``x`` already
-    has dtype ``d`` without ``copy=False`` (a full redundant copy);
-    and non-contiguous views (stepped slices, transposes) handed to
-    the shm transport, which must then materialize them.
+    Four shapes: ``np.unique`` or ``sorted_unique`` inside a loop
+    (sorts and copies every iteration — use mask-based dedup, see
+    ``flood_depths``); chained fancy indexing ``a[i][j]`` (the inner
+    gather materializes a full temporary — fuse the indices);
+    ``x.astype(d)`` when ``x`` already has dtype ``d`` without
+    ``copy=False`` (a full redundant copy); and non-contiguous views
+    (stepped slices, transposes) handed to the shm transport, which
+    must then materialize them.
     """
 
     code = "SIM016"
@@ -1032,7 +1039,7 @@ class HiddenCopyRule:
                     if isinstance(node.func, (ast.Name, ast.Attribute))
                     else None
                 )
-                if chain == "numpy.unique":
+                if chain in _SORTING_DEDUPS:
                     key = (node.lineno, node.col_offset)
                     if key in reported:
                         continue
@@ -1041,7 +1048,7 @@ class HiddenCopyRule:
                         func,
                         node,
                         self.code,
-                        f"np.unique inside a loop in hot function "
+                        f"{_SORTING_DEDUPS[chain]} inside a loop in hot function "
                         f"'{func.qualname}' sorts and copies every "
                         f"iteration; deduplicate with a boolean mask "
                         f"(see flood_depths) or hoist it out of the loop",

@@ -1,4 +1,4 @@
-"""The built-in simlint rules (SIM001-SIM008).
+"""The built-in per-file simlint rules (SIM001-SIM008, SIM022).
 
 These encode the invariants the reproduction's statistical claims rest
 on — chiefly the seed-determinism discipline of
@@ -11,10 +11,17 @@ the recipe for adding new rules.
 from __future__ import annotations
 
 import ast
+from pathlib import Path
 from typing import Iterator
 
 from repro.lint.diagnostics import Diagnostic
-from repro.lint.index import dotted_name, import_aliases, resolve_alias, tree_nodes
+from repro.lint.index import (
+    dotted_name,
+    import_aliases,
+    module_name_for,
+    resolve_alias,
+    tree_nodes,
+)
 from repro.lint.rules import FileContext, register_rule
 
 __all__ = [
@@ -26,6 +33,7 @@ __all__ = [
     "FloatEqualityRule",
     "SeedParameterRule",
     "PrintDisciplineRule",
+    "BareUniqueRule",
 ]
 
 # Shared syntactic helpers live in repro.lint.index (the phase-1 symbol
@@ -590,4 +598,69 @@ class PrintDisciplineRule:
                     "bare print() writes diagnostics to stdout, which is "
                     "reserved for command output; use "
                     "repro.obs.log.get_logger(__name__) instead",
+                )
+
+
+@register_rule
+class BareUniqueRule:
+    """SIM022 — no bare ``np.unique`` in the ``repro`` package.
+
+    On numpy >= 2.3, ``np.unique`` without a ``return_*`` flag takes a
+    hash path that is 25-70x slower on integer input than sorting plus
+    an adjacent-difference mask; it decided the cold trace/index build.
+    :func:`repro.utils.stats.sorted_unique` is that sort, bitwise-equal
+    for integer and bool input.  Calls with ``return_index``,
+    ``return_inverse``, ``return_counts`` (those stay on the fast path)
+    or ``axis`` (row dedup, which the helper does not do) are not
+    flagged.  Only modules of the ``repro`` package are checked, not
+    ``repro.lint``: tests and benchmarks use ``np.unique`` as the
+    oracle.
+    """
+
+    code = "SIM022"
+    summary = "bare np.unique in the repro package; use repro.utils.stats.sorted_unique"
+
+    _EXEMPT_KEYWORDS = frozenset(
+        {"return_index", "return_inverse", "return_counts", "axis"}
+    )
+
+    def _in_scope(self, ctx: FileContext) -> bool:
+        module = module_name_for(Path(ctx.path))
+        return module.startswith("repro.") and not (
+            module == "repro.lint" or module.startswith("repro.lint.")
+        )
+
+    def _is_bare(self, node: ast.Call) -> bool:
+        if len(node.args) > 1:  # return_index passed positionally
+            return False
+        for kw in node.keywords:
+            if kw.arg is None:  # **kwargs: cannot tell
+                return False
+            if kw.arg in self._EXEMPT_KEYWORDS and not (
+                isinstance(kw.value, ast.Constant) and kw.value.value is False
+            ):
+                return False
+        return True
+
+    def check(self, ctx: FileContext) -> Iterator[Diagnostic]:
+        if "unique" not in ctx.source:
+            return
+        aliases = _import_aliases(ctx.tree)
+        in_scope: bool | None = None
+        for node in tree_nodes(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            chain = _dotted_name(node.func)
+            if chain is None or _resolve(chain, aliases) != "numpy.unique":
+                continue
+            if in_scope is None:
+                in_scope = self._in_scope(ctx)
+            if not in_scope:
+                return
+            if self._is_bare(node):
+                yield _diag(
+                    ctx, node, self.code,
+                    "bare np.unique() takes numpy's hash path, 25-70x slower "
+                    "than a sort on integer input; use "
+                    "repro.utils.stats.sorted_unique",
                 )

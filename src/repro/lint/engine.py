@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from repro.lint import arrays as _arrays  # noqa: F401  (registers SIM015-SIM017)
-from repro.lint import builtin as _builtin  # noqa: F401  (registers SIM001-SIM007)
+from repro.lint import builtin as _builtin  # noqa: F401  (SIM001-SIM008, SIM022)
 from repro.lint import concurrency as _concurrency  # noqa: F401  (SIM018-SIM021)
 from repro.lint import semantic as _semantic  # noqa: F401  (registers SIM010-SIM014)
 from repro.lint.config import LintConfig
@@ -57,10 +57,11 @@ __all__ = [
 # explicit; there is deliberately no blanket "ignore everything" form.
 _PRAGMA_RE = re.compile(r"#\s*simlint:\s*ignore\[([A-Za-z0-9_,\s]+)\]\s*(.*)$")
 
-# Semantic- and concurrency-family suppressions must explain
-# themselves: the rules they silence encode cross-module contracts a
-# reader cannot re-derive from the single pragma'd line.
-_REASON_REQUIRED_RE = re.compile(r"^SIM0(?:1\d|2[01])$")
+# Semantic- and concurrency-family suppressions, and SIM022's, must
+# explain themselves: the rules they silence encode cross-module
+# contracts (or, for SIM022, a numpy performance cliff) a reader cannot
+# re-derive from the single pragma'd line.
+_REASON_REQUIRED_RE = re.compile(r"^SIM0(?:1\d|2[0-2])$")
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import numpy as np
 from repro.overlay.content import SharedContentIndex
 from repro.tracegen.query_trace import QueryWorkload
 from repro.utils.rng import derive
+from repro.utils.stats import sorted_unique
 
 __all__ = ["AdvertisementConfig", "AdStore", "AdReport", "simulate_advertisement"]
 
@@ -139,7 +140,7 @@ def simulate_advertisement(
     store = AdStore(n_peers)
     terms_flat = content._posting_terms
     peers_flat = content.instance_peer[content._posting_instances]
-    pairs = np.unique(peers_flat.astype(np.int64) * n_terms + terms_flat)
+    pairs = sorted_unique(peers_flat.astype(np.int64) * n_terms + terms_flat)
     peer_of = pairs // n_terms
     term_of = pairs % n_terms
     boundaries = np.searchsorted(peer_of, np.arange(n_peers + 1))

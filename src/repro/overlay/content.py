@@ -44,7 +44,7 @@ from repro.analysis.tokenize import TermIndex
 from repro.obs import metrics
 from repro.overlay.topology import INDEX_DTYPE, shard_bounds
 from repro.tracegen.gnutella_trace import GnutellaShareTrace
-from repro.utils.stats import encode_pairs, ragged_arange
+from repro.utils.stats import encode_pairs, ragged_arange, sorted_unique
 
 __all__ = [
     "BatchMatches",
@@ -214,7 +214,7 @@ class PostingShardSet:
         term_ids = np.asarray(term_ids, dtype=np.int64)
         owner = self.shard_of(term_ids)
         lengths = np.zeros(term_ids.size, dtype=np.int64)
-        for s in np.unique(owner):
+        for s in sorted_unique(owner):
             shard = self.shards[int(s)]
             sel = owner == s
             local = term_ids[sel] - shard.lo
@@ -230,7 +230,7 @@ class PostingShardSet:
         np.cumsum(lengths, out=offsets[1:])
         payload_dtype = self.shards[0].instances.dtype if self.shards else INDEX_DTYPE
         out = np.empty(int(offsets[-1]), dtype=payload_dtype)
-        for s in np.unique(owner):
+        for s in sorted_unique(owner):
             shard = self.shards[int(s)]
             sel = owner == s
             lens = lengths[sel]
@@ -505,7 +505,7 @@ def _stream_postings(
         hi = min(lo + block, trace.n_instances)
         terms, origin = term_index.expand(trace.name_ids[lo:hi])
         width = hi - lo
-        pairs = np.unique(
+        pairs = sorted_unique(
             encode_pairs(terms, origin, width, what="term/instance pairs")
         )
         terms = pairs // width
@@ -610,16 +610,19 @@ class SharedContentIndex:
         _check_posting_width(self.term_index.n_terms, trace.n_instances, 0)
         if stream_block is None:
             terms, origin = self.term_index.expand(trace.name_ids)
-            # Deduplicate repeated terms within one instance's name.
-            pairs = np.unique(
-                encode_pairs(
-                    terms, origin, trace.n_instances, what="term/instance pairs"
-                )
+            codes = encode_pairs(
+                terms, origin, trace.n_instances, what="term/instance pairs"
             )
-            terms = pairs // trace.n_instances
-            origin = pairs % trace.n_instances
-            instances = origin[np.argsort(terms, kind="stable")]
-            counts = np.bincount(terms, minlength=self.term_index.n_terms)
+            del terms, origin  # keep the build's peak to one pair array
+            # Deduplicate repeated terms within one instance's name.
+            # The sorted pairs are already (term, origin)-ordered, so
+            # their origins are the posting lists back to back.
+            pairs = sorted_unique(codes)
+            del codes
+            instances = pairs % trace.n_instances
+            counts = np.bincount(
+                pairs // trace.n_instances, minlength=self.term_index.n_terms
+            )
             offsets = np.zeros(self.term_index.n_terms + 1, dtype=np.int64)
             np.cumsum(counts, out=offsets[1:])
         else:
@@ -704,7 +707,7 @@ class SharedContentIndex:
     def term_peer_counts(self) -> np.ndarray:
         """Distinct-peer count per term — the paper's Fig. 3 quantity."""
         peers = self.instance_peer[self._posting_instances]
-        pairs = np.unique(
+        pairs = sorted_unique(
             encode_pairs(
                 self._posting_terms, peers, self.n_peers, what="term/peer pairs"
             )
@@ -857,7 +860,7 @@ class SharedContentIndex:
 
     def matching_peers(self, terms: Sequence[str]) -> np.ndarray:
         """Distinct peers holding at least one file matching ``terms``."""
-        return np.unique(self.instance_peer[self.match(terms)])
+        return sorted_unique(self.instance_peer[self.match(terms)])
 
     def peer_results(self, terms: Sequence[str], peer_mask: np.ndarray) -> np.ndarray:
         """Matching instances restricted to peers where ``peer_mask`` is True."""

@@ -21,6 +21,7 @@ from repro.overlay.flooding import flood
 from repro.overlay.messages import QueryHit, QueryMessage
 from repro.overlay.random_walk import random_walk
 from repro.overlay.topology import Topology
+from repro.utils.stats import sorted_unique
 
 __all__ = ["SearchOutcome", "UnstructuredNetwork"]
 
@@ -54,7 +55,7 @@ class SearchOutcome:
     @cached_property
     def responding_peers(self) -> np.ndarray:
         """Distinct peers that returned at least one result."""
-        return np.unique(self.hit_peers)
+        return sorted_unique(self.hit_peers)
 
 
 class UnstructuredNetwork:

@@ -27,6 +27,7 @@ import numpy as np
 from repro.overlay.content import SharedContentIndex
 from repro.overlay.flooding import FloodDepthCache, flood_depths
 from repro.overlay.topology import Topology
+from repro.utils.stats import sorted_unique
 
 __all__ = [
     "QrpTables",
@@ -150,7 +151,7 @@ def qrp_flood(
     hits = tables.content.match(terms)
     hit_peers = np.zeros(topology.n_nodes, dtype=bool)
     if hits.size:
-        hit_peers[np.unique(tables.content.instance_peer[hits])] = True
+        hit_peers[sorted_unique(tables.content.instance_peer[hits])] = True
     false_pos = int((delivered_leaves & ~hit_peers).sum())
 
     messages = plain_messages - (n_leaf_deliveries_plain - int(delivered_leaves.sum()))
@@ -213,7 +214,7 @@ def qrp_flood_batch(
         raise ValueError(f"{sources.size} sources for {len(queries)} queries")
     if cache is None:
         cache = FloodDepthCache(
-            topology, max_entries=max(1, np.unique(sources).size)
+            topology, max_entries=max(1, sorted_unique(sources).size)
         )
     n = sources.size
     n_nodes = topology.n_nodes

@@ -24,6 +24,7 @@ import numpy as np
 from repro.overlay.topology import Topology, _edges_to_csr
 from repro.tracegen.gnutella_trace import GnutellaShareTrace
 from repro.utils.rng import make_rng
+from repro.utils.stats import sorted_unique
 
 __all__ = ["library_similarity_topk", "semantic_rewire", "neighborhood_hit_rate"]
 
@@ -47,7 +48,7 @@ def library_similarity_topk(
     # Sparse song->peers postings over (possibly truncated) libraries.
     peer_songs: list[np.ndarray] = []
     for p in range(n_peers):
-        songs = np.unique(trace.peer_song_ids(p))
+        songs = sorted_unique(trace.peer_song_ids(p))
         if songs.size > max_library:
             songs = songs[:max_library]
         peer_songs.append(songs)

@@ -18,6 +18,7 @@ import numpy as np
 from repro.obs import metrics
 from repro.utils import dtypes
 from repro.utils.rng import derive, make_rng
+from repro.utils.stats import sorted_unique
 
 __all__ = [
     "INDEX_DTYPE",
@@ -125,7 +126,7 @@ def _edges_to_csr(n_nodes: int, edges: np.ndarray) -> tuple[np.ndarray, np.ndarr
     keep = u != v
     u, v = u[keep], v[keep]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    uniq = np.unique(lo.astype(np.int64) * n_nodes + hi)
+    uniq = sorted_unique(lo.astype(np.int64) * n_nodes + hi)
     lo, hi = uniq // n_nodes, uniq % n_nodes
     src = np.concatenate([lo, hi])
     dst = np.concatenate([hi, lo])
@@ -237,7 +238,7 @@ def edges_to_csr_stream(
         # Once per *shard*, not per element: the sort is how the
         # bounded key buffer dedups and orders one shard's rows
         # without ever materializing the global edge list.
-        keys = np.unique(buf[:fill])  # simlint: ignore[SIM016] per-shard dedup is the streaming design; a global mask would be O(n_nodes^2) bits
+        keys = sorted_unique(buf[:fill])  # simlint: ignore[SIM016] per-shard dedup is the streaming design; a global mask would be O(n_nodes^2) bits
         degree_parts.append(np.bincount(keys // n_nodes, minlength=hi - lo))
         neighbor_parts.append((keys % n_nodes).astype(INDEX_DTYPE))
     offsets = np.zeros(n_nodes + 1, dtype=INDEX_DTYPE)

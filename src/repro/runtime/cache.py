@@ -10,9 +10,10 @@ frozen config dataclass, so an artifact is fully identified by
   encoding of the dataclass (field names, types and values, nested
   dataclasses included), via :func:`config_digest`.
 
-Entries live under ``<cache_dir>/<name>/v<version>-<digest>.pkl`` and
-are written atomically (temp file + rename), so concurrent runs never
-observe a torn entry.  The global :data:`CACHE_VERSION` is folded into
+Pickle-codec entries live under
+``<cache_dir>/<name>/v<version>-<digest>.pkl`` and are written
+atomically (temp file + rename), so concurrent runs never observe a
+torn entry.  The global :data:`CACHE_VERSION` is folded into
 every digest: bumping it invalidates the whole cache at once.
 
 Array-heavy producers (see :data:`BLOB_PRODUCERS`) use the zero-copy
@@ -24,10 +25,10 @@ skeleton and attaches each array via ``np.load(..., mmap_mode="r")``
 — the kernel pages CSR/posting data in on demand instead of
 deserializing gigabytes up front, so a million-node topology hit is
 sub-second and costs no private RSS until touched.  Blob-backed
-arrays are therefore *read-only* views; producers already treat
-cached artifacts as immutable.  A blob producer never reads a
-``.pkl`` entry: a stale one is a miss, and the recomputed artifact
-replaces it with a blob.
+arrays are therefore *read-only* plain ``np.ndarray`` views of the
+memmaps; producers already treat cached artifacts as immutable.  A
+blob producer never reads a ``.pkl`` entry: a stale one is a miss,
+and the recomputed artifact replaces it with a blob.
 
 Environment knobs:
 
@@ -216,7 +217,14 @@ class _BlobPickler(pickle.Pickler):
 
 
 class _BlobUnpickler(pickle.Unpickler):
-    """Unpickler that resolves array stubs to read-only memmaps."""
+    """Unpickler that resolves array stubs to read-only memmap views.
+
+    Each array comes back as a plain ``np.ndarray`` view whose ``.base``
+    is the ``np.memmap``: still zero-copy, but indexing it skips the
+    Python-level ``memmap.__getitem__``/``__array_finalize__`` that a
+    memmap subclass runs on every fancy index (the BFS gather does
+    thousands per flood).
+    """
 
     def __init__(self, handle: Any, directory: Path) -> None:
         super().__init__(handle)
@@ -227,11 +235,10 @@ class _BlobUnpickler(pickle.Unpickler):
             isinstance(pid, tuple) and len(pid) == 2 and pid[0] == _PERSISTENT_TAG
         ):
             raise pickle.UnpicklingError(f"unknown persistent id {pid!r}")
-        return freeze(
-            np.load(
-                self._directory / f"a{pid[1]}.npy", mmap_mode="r", allow_pickle=False
-            )
+        mapped = np.load(
+            self._directory / f"a{pid[1]}.npy", mmap_mode="r", allow_pickle=False
         )
+        return freeze(mapped.view(np.ndarray))
 
 
 def _load_blob(blob: Path) -> Any:

@@ -70,6 +70,7 @@ from repro.runtime.shm import (
     _attach_arrays,
     _export,
 )
+from repro.utils.stats import sorted_unique
 
 __all__ = [
     "PostingShardSpec",
@@ -339,14 +340,11 @@ def _expand_task(
 
     Returns the shard's sorted distinct targets and its gathered-target
     count.  Deduplicating here shrinks what crosses the process
-    boundary; sort plus an adjacent-difference mask is bitwise equal
-    to ``np.unique`` and avoids its slow hash path.
+    boundary.
     """
     shard_set = attach_shard_set(spec)
-    targets = np.sort(expand_shard(shard_set.shards[shard_index], senders))
-    first = np.ones(targets.size, dtype=bool)
-    np.not_equal(targets[1:], targets[:-1], out=first[1:])
-    return targets[first], targets.size
+    targets = expand_shard(shard_set.shards[shard_index], senders)
+    return sorted_unique(targets), targets.size
 
 
 class ShardedFloodRunner:

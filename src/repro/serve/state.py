@@ -27,6 +27,7 @@ from repro.overlay.content import SharedContentIndex, partition_postings
 from repro.overlay.topology import Topology
 from repro.runtime.shards import ShardedFloodRunner, ShardedPostings
 from repro.runtime.shm import SharedTopology
+from repro.utils.stats import sorted_unique
 
 __all__ = ["ServiceConfig", "ServiceState"]
 
@@ -178,7 +179,7 @@ class ServiceState:
             hits = self.content.match_key(key)
             n_results.append(int(hits.size))
             n_peers.append(
-                int(np.unique(self.content.instance_peer[hits]).size)
+                int(sorted_unique(self.content.instance_peer[hits]).size)
                 if hits.size
                 else 0
             )

@@ -33,7 +33,7 @@ import numpy as np
 from repro.tracegen.catalog import MusicCatalog
 from repro.utils.dtypes import INDEX_DTYPE
 from repro.utils.rng import derive
-from repro.utils.stats import encode_pairs
+from repro.utils.stats import encode_pairs, sorted_unique
 from repro.utils.text import NameNoiseModel, StringInterner, mangle_name
 
 __all__ = ["GnutellaTraceConfig", "GnutellaShareTrace"]
@@ -411,7 +411,7 @@ class GnutellaShareTrace:
         spelling is interned when its variant process is seeded even if
         no instance ends up using it.
         """
-        return int(np.unique(self.name_ids).size)
+        return int(sorted_unique(self.name_ids).size)
 
     def peer_instance_slice(self, peer: int) -> slice:
         """Instance index slice for one peer."""
@@ -437,7 +437,7 @@ class GnutellaShareTrace:
         if ids.shape != self.peer_of_instance.shape:
             raise ValueError("ids must be a per-instance array")
         n_ids = int(ids.max()) + 1 if ids.size else 0
-        uniq = np.unique(
+        uniq = sorted_unique(
             encode_pairs(
                 ids, self.peer_of_instance, self.config.n_peers,
                 what="object/peer pairs",

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.tracegen.catalog import MusicCatalog
 from repro.utils.rng import derive
+from repro.utils.stats import sorted_unique
 
 __all__ = ["ITunesTraceConfig", "ITunesShareTrace", "MISSING"]
 
@@ -147,7 +148,7 @@ class ITunesShareTrace:
         users = self.user_of_instance[mask]
         n_vals = int(vals.max()) + 1 if vals.size else 0
         pairs = vals * self.config.n_users + users
-        uniq = np.unique(pairs)
+        uniq = sorted_unique(pairs)
         return np.bincount((uniq // self.config.n_users).astype(np.int64), minlength=n_vals)
 
     def missing_fraction(self, values: np.ndarray) -> float:

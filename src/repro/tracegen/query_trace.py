@@ -31,7 +31,7 @@ import numpy as np
 from repro.tracegen.catalog import MusicCatalog
 from repro.tracegen.gnutella_trace import GnutellaShareTrace
 from repro.utils.rng import derive
-from repro.utils.stats import encode_pairs, ragged_arange
+from repro.utils.stats import encode_pairs, ragged_arange, sorted_unique
 from repro.utils.zipf import ZipfDistribution
 
 __all__ = [
@@ -64,11 +64,13 @@ def file_term_peer_counts(trace: GnutellaShareTrace) -> np.ndarray:
     starts = offsets[inverse]
     gather = np.repeat(starts, inst_lengths) + ragged_arange(inst_lengths)
     terms = flat_terms[gather]
+    del gather
     peers = np.repeat(trace.peer_of_instance, inst_lengths)
+    codes = encode_pairs(terms, peers, trace.n_peers, what="term/peer pairs")
+    del terms, peers  # keep the peak to one pair array plus its sort
+    pairs = sorted_unique(codes)
+    del codes
     n_terms = catalog.config.lexicon_size
-    pairs = np.unique(
-        encode_pairs(terms, peers, trace.n_peers, what="term/peer pairs")
-    )
     return np.bincount((pairs // trace.n_peers).astype(np.int64), minlength=n_terms)
 
 

@@ -13,6 +13,7 @@ __all__ = [
     "bincount_counts",
     "lorenz_curve",
     "ragged_arange",
+    "sorted_unique",
 ]
 
 
@@ -22,11 +23,11 @@ def encode_pairs(
     """Checked ``major * n_minor + minor`` pair encoding, always int64.
 
     The overlay and tracegen layers dedupe ``(a, b)`` pairs by packing
-    them into one integer and calling ``np.unique``.  Done naively on
-    narrowed int32 inputs the multiply wraps silently; done on int64 it
-    still overflows once ``max(major) * n_minor`` crosses 2**63 (a
-    10M-peer x 10M-term index gets there).  This helper casts to int64
-    first and verifies the largest encodable pair fits, raising
+    them into one integer and calling :func:`sorted_unique`.  Done
+    naively on narrowed int32 inputs the multiply wraps silently; done
+    on int64 it still overflows once ``max(major) * n_minor`` crosses
+    2**63 (a 10M-peer x 10M-term index gets there).  This helper casts
+    to int64 first and verifies the largest encodable pair fits, raising
     ``OverflowError`` with the offending sizes instead of corrupting
     the dedup.
     """
@@ -45,6 +46,27 @@ def encode_pairs(
             "dedupe in smaller blocks or use a structured sort"
         )
     return major.astype(np.int64) * np.int64(n_minor) + minor.astype(np.int64)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of ``values``, flattened: ``np.unique``.
+
+    On numpy >= 2.3 a bare ``np.unique`` (no ``return_*`` flag) takes a
+    hash path that is 25-70x slower on int64 than sorting and keeping
+    each element that differs from its predecessor; this helper is that
+    sort plus adjacent-difference mask.  For integer and bool input the
+    result is bitwise-equal to ``np.unique(values)``, values and dtype.
+    Other dtypes go to ``np.unique`` itself: its NaN folding is not a
+    plain mask.
+    """
+    flat = np.asarray(values).ravel()
+    if flat.dtype.kind not in "biu":
+        return np.unique(flat)  # simlint: ignore[SIM022] float/str/object input keeps np.unique's NaN folding
+    flat = np.sort(flat)
+    keep = np.empty(flat.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
 
 
 def ragged_arange(lengths: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ credits, parenthetical subtitles and character-level typos.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, islice
 
 import numpy as np
 
@@ -130,11 +131,30 @@ def _random_case(s: str, rng: np.random.Generator) -> str:
     return s.lower()
 
 
+# Byte -> 1 for the ASCII letters, 0 otherwise: on ASCII text this is
+# exactly ``str.isalpha``.
+_ASCII_LETTER_FLAGS = bytes(
+    int(chr(b).isascii() and chr(b).isalpha()) for b in range(256)
+)
+
+
 def _typo(s: str, rng: np.random.Generator) -> str:
-    letters = [i for i, ch in enumerate(s) if ch.isalpha()]
-    if not letters:
-        return s
-    i = int(rng.choice(letters))
+    # ``rng.integers(0, n)`` is the draw ``rng.choice`` makes over an
+    # n-element list, without its per-call array conversion.
+    if s.isascii():
+        flags = s.encode("ascii").translate(_ASCII_LETTER_FLAGS)
+        n_letters = flags.count(1)
+        if not n_letters:
+            return s
+        k = int(rng.integers(0, n_letters))
+        # Position of the k-th letter, found in C: no per-character
+        # Python loop.
+        i = next(islice(compress(count(), flags), k, None))
+    else:
+        letters = [i for i, ch in enumerate(s) if ch.isalpha()]
+        if not letters:
+            return s
+        i = letters[rng.integers(0, len(letters))]
     op = rng.integers(0, 3)
     if op == 0:  # substitute
         repl = _ALPHABET[rng.integers(0, 26)]

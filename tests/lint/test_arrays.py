@@ -244,6 +244,23 @@ class TestSim016:
     def test_negatives_stay_silent(self) -> None:
         assert _fixture_lines("sim016_ok", "SIM016") == []
 
+    def test_sorted_unique_in_hot_loop_is_flagged(self, tmp_path: Path) -> None:
+        module = tmp_path / "mod.py"
+        module.write_text(
+            "from repro.utils.stats import sorted_unique\n"
+            "\n"
+            "def hot_kernel(frontier):\n"
+            "    for _ in range(3):\n"
+            "        frontier = sorted_unique(frontier)\n"
+            "    return frontier\n"
+        )
+        config = LintConfig(
+            select=frozenset({"SIM016"}), hot_roots=("mod.hot_kernel",)
+        )
+        diags = lint_file(module, config)
+        assert [d.line for d in diags] == [5]
+        assert "sorted_unique inside a loop" in diags[0].message
+
 
 # -- SIM017 -----------------------------------------------------------
 

@@ -110,3 +110,50 @@ def test_sim008_exempts_print_allowed_globs() -> None:
 def test_sim008_stderr_redirect_is_allowed() -> None:
     # The ok fixture routes its one print() to stderr explicitly.
     assert findings("sim008_ok.py", "SIM008") == []
+
+
+def _in_repro_package(tmp_path: Path, fixture: str, *package: str) -> Path:
+    """Copy a fixture into a ``repro`` package tree under ``tmp_path``."""
+    directory = tmp_path
+    for part in ("repro", *package):
+        directory = directory / part
+        directory.mkdir()
+        (directory / "__init__.py").write_text("")
+    target = directory / fixture
+    target.write_text((FIXTURES / fixture).read_text())
+    return target
+
+
+def _sim022(path: Path) -> list[Diagnostic]:
+    return [d for d in lint_file(path, LintConfig()) if d.code == "SIM022"]
+
+
+def test_sim022_flags_bare_unique_in_repro(tmp_path: Path) -> None:
+    diags = _sim022(_in_repro_package(tmp_path, "sim022_bad.py", "overlay"))
+    assert [d.line for d in diags] == [15, 19, 24]
+    assert all("sorted_unique" in d.message for d in diags)
+
+
+def test_sim022_ok_fixture_is_clean(tmp_path: Path) -> None:
+    assert _sim022(_in_repro_package(tmp_path, "sim022_ok.py", "overlay")) == []
+
+
+def test_sim022_only_checks_the_repro_package(tmp_path: Path) -> None:
+    # Tests, benchmarks and the linter use np.unique as an oracle.
+    assert _sim022(FIXTURES / "sim022_bad.py") == []
+    assert _sim022(_in_repro_package(tmp_path, "sim022_bad.py", "lint")) == []
+
+
+def test_sim022_pragma_needs_a_reason(tmp_path: Path) -> None:
+    target = _in_repro_package(tmp_path, "sim022_bad.py")
+    source = target.read_text().replace(
+        "return np.unique(pairs)",
+        "return np.unique(pairs)  # simlint: ignore[SIM022]",
+    )
+    target.write_text(source)
+    diags = _sim022(target)
+    assert len(diags) == 3 and "pragma refused" in diags[0].message
+    target.write_text(
+        source.replace("ignore[SIM022]", "ignore[SIM022] float keys fold NaN")
+    )
+    assert len(_sim022(target)) == 2

@@ -164,6 +164,30 @@ class TestStreamingBuild:
         assert streamed._posting_offsets.dtype == baseline._posting_offsets.dtype
         assert streamed._posting_instances.dtype == baseline._posting_instances.dtype
 
+    def test_in_memory_build_is_term_then_instance_ordered(self, small_trace):
+        # The in-memory build takes its posting order straight from the
+        # sorted pair dedup; an independent row-wise dedup and the
+        # streamed build must agree with it.
+        index = SharedContentIndex(small_trace)
+        terms, origin = index.term_index.expand(small_trace.name_ids)
+        rows = np.unique(np.stack([terms, origin], axis=1), axis=0)
+        assert (
+            index._posting_instances.tobytes()
+            == rows[:, 1].astype(INDEX_DTYPE).tobytes()
+        )
+        counts = np.bincount(rows[:, 0], minlength=index.term_index.n_terms)
+        np.testing.assert_array_equal(np.diff(index._posting_offsets), counts)
+        for block in (1, small_trace.n_instances):
+            streamed = SharedContentIndex(small_trace, stream_block=block)
+            assert (
+                streamed._posting_instances.tobytes()
+                == index._posting_instances.tobytes()
+            )
+            assert (
+                streamed._posting_offsets.tobytes()
+                == index._posting_offsets.tobytes()
+            )
+
     def test_posting_arrays_narrowed(self, fresh_content):
         assert fresh_content._posting_offsets.dtype == INDEX_DTYPE
         assert fresh_content._posting_instances.dtype == INDEX_DTYPE

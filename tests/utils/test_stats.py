@@ -17,6 +17,7 @@ from repro.utils.stats import (
     gini,
     lorenz_curve,
     ragged_arange,
+    sorted_unique,
 )
 
 
@@ -182,3 +183,71 @@ class TestEncodePairs:
     def test_invalid_n_minor(self):
         with pytest.raises(ValueError, match="n_minor"):
             encode_pairs(np.array([1]), np.array([0]), 0)
+
+
+_UNIQUE_DTYPES = [
+    np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+]
+
+
+def _assert_same_unique(values: np.ndarray) -> None:
+    got = sorted_unique(values)
+    want = np.unique(values)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestSortedUnique:
+    """Oracle: bitwise-equal to ``np.unique`` on integer and bool input."""
+
+    @pytest.mark.parametrize("dtype", _UNIQUE_DTYPES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_np_unique_integers(self, dtype, data):
+        values = data.draw(
+            hnp.arrays(
+                dtype,
+                st.integers(0, 200),
+                elements=hnp.from_dtype(np.dtype(dtype)),
+            )
+        )
+        _assert_same_unique(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(hnp.arrays(np.bool_, st.integers(0, 50)))
+    def test_matches_np_unique_bool(self, values):
+        _assert_same_unique(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        hnp.arrays(
+            np.int64,
+            hnp.array_shapes(min_dims=2, max_dims=3, min_side=0, max_side=8),
+            elements=st.integers(-5, 5),
+        )
+    )
+    def test_flattens_nd_input(self, values):
+        _assert_same_unique(values)
+        assert sorted_unique(values).ndim == 1
+
+    @pytest.mark.parametrize("dtype", [*_UNIQUE_DTYPES, np.bool_])
+    def test_empty(self, dtype):
+        _assert_same_unique(np.empty(0, dtype=dtype))
+        _assert_same_unique(np.empty((0, 3), dtype=dtype))
+
+    def test_scalar_and_list_input(self):
+        _assert_same_unique(np.int64(7))
+        np.testing.assert_array_equal(sorted_unique([3, 1, 3, 2]), [1, 2, 3])
+
+    def test_extreme_values(self):
+        for dtype in _UNIQUE_DTYPES:
+            info = np.iinfo(dtype)
+            _assert_same_unique(
+                np.array([info.max, info.min, info.max, 0, info.min], dtype=dtype)
+            )
+
+    def test_float_input_keeps_np_unique_nan_folding(self):
+        values = np.array([np.nan, 1.0, np.nan, -0.0, 0.0])
+        assert sorted_unique(values).tobytes() == np.unique(values).tobytes()

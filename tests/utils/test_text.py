@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.utils import text
 from repro.utils.rng import make_rng
 from repro.utils.text import NameNoiseModel, StringInterner, mangle_name
 
@@ -126,3 +127,72 @@ class TestMangleName:
         # featuring/subtitle steps are skipped when pools are absent.
         out = mangle_name("A - B.mp3", make_rng(0), noise=self.ALL)
         assert isinstance(out, str) and out
+
+
+def _choice_typo(s, rng):
+    """The earlier ``_typo``: ``rng.choice`` over a Python list of letters."""
+    letters = [i for i, ch in enumerate(s) if ch.isalpha()]
+    if not letters:
+        return s
+    i = int(rng.choice(letters))
+    op = rng.integers(0, 3)
+    if op == 0:
+        repl = text._ALPHABET[rng.integers(0, 26)]
+        return s[:i] + repl + s[i + 1 :]
+    if op == 1:
+        return s[:i] + s[i + 1 :]
+    return s[:i] + s[i] + s[i:]
+
+
+class TestTypoDraws:
+    """``_typo`` draws exactly what the ``rng.choice`` form drew.
+
+    Trace bundles are cached by config digest, so the noise channel
+    must consume the generator identically: same output name and the
+    same next draw afterwards.
+    """
+
+    NAMES = [
+        "Aaron Neville and Linda Ronstadt - I Don't Know Much",
+        "Beck - Loser",
+        "a",
+        "",
+        "123 - 456 (07)",
+        "Beyoncé - Déjà Vu",
+        "Björk_Jóga",
+        "日本語 song 2",
+        "ÀÉÎ",
+        "x" * 997 + "9",
+    ]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_typo_matches_choice_form(self, name):
+        for seed in range(300):
+            old_rng, new_rng = make_rng(seed), make_rng(seed)
+            assert text._typo(name, new_rng) == _choice_typo(name, old_rng)
+            assert new_rng.random() == old_rng.random()
+
+    def test_mangle_name_matches_choice_form(self, monkeypatch):
+        noise = NameNoiseModel(p_typo=0.9)
+        pools = {"featuring_pool": ["Guest Star"], "subtitle_pool": ["live", "remix"]}
+        new_out = []
+        for seed in range(400):
+            for name in self.NAMES:
+                rng = make_rng(seed)
+                new_out.append((mangle_name(name + ".mp3", rng, noise=noise, **pools),
+                                rng.random()))
+        monkeypatch.setattr(text, "_typo", _choice_typo)
+        old_out = []
+        for seed in range(400):
+            for name in self.NAMES:
+                rng = make_rng(seed)
+                old_out.append((mangle_name(name + ".mp3", rng, noise=noise, **pools),
+                                rng.random()))
+        assert new_out == old_out
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.text(max_size=40), seed=st.integers(0, 2**32 - 1))
+    def test_arbitrary_text(self, name, seed):
+        old_rng, new_rng = make_rng(seed), make_rng(seed)
+        assert text._typo(name, new_rng) == _choice_typo(name, old_rng)
+        assert new_rng.random() == old_rng.random()
